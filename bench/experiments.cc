@@ -653,12 +653,10 @@ struct HotpathRun {
 // One dispatch loop: every rank issues `ops_per_rank` async small
 // all_reduces, draining its stream every `sync_every` ops. The workload
 // (tensor construction, issue cadence) is identical across modes so the
-// wall-clock delta isolates the dispatch shape.
-HotpathRun run_hotpath_loop(const HotpathOptions& opts, std::size_t bytes, bool fast_dispatch,
-                            bool bucketed) {
+// wall-clock delta isolates bucketing.
+HotpathRun run_hotpath_loop(const HotpathOptions& opts, std::size_t bytes, bool bucketed) {
   ClusterContext cluster(net::SystemConfig::lassen(opts.world / 4));
   McrDlOptions mopts;
-  mopts.fast_dispatch = fast_dispatch;
   if (bucketed) {
     mopts.fusion.enabled = true;
     mopts.fusion.buffer_bytes = 64u << 10;  // coalesce a sync_every window
@@ -674,7 +672,7 @@ HotpathRun run_hotpath_loop(const HotpathOptions& opts, std::size_t bytes, bool 
     Api api = mcr.on(rank);
     sim::Device* dev = cluster.device(rank);
     // Phantom payloads, like every other driver here: the experiment measures
-    // the dispatch machinery, and materialized data would bill both paths the
+    // the dispatch machinery, and materialized data would bill both modes the
     // same simulated elementwise math. One tensor per in-flight slot, reused
     // every window once the stream is drained — no allocator traffic either.
     std::vector<Tensor> grads;
@@ -711,12 +709,9 @@ BenchReport run_hotpath(const HotpathOptions& options) {
 
   struct Mode {
     const char* name;
-    bool fast;
     bool bucketed;
   };
-  const Mode modes[] = {{"dispatch/slow", false, false},
-                        {"dispatch/fast", true, false},
-                        {"dispatch/bucketed", true, true}};
+  const Mode modes[] = {{"dispatch/unbucketed", false}, {"dispatch/bucketed", true}};
 
   BenchReport report;
   report.experiment = "hotpath";
@@ -732,39 +727,25 @@ BenchReport run_hotpath(const HotpathOptions& options) {
 
   const double total_ops = static_cast<double>(opts.ops_per_rank) * opts.world;
   for (std::size_t bytes : opts.sizes) {
-    double slow_ops_per_s = 0.0;
-    double reference_virtual_us = -1.0;
-    double bucketed_ops_per_s = 0.0;
-    for (std::size_t m = 0; m < 3; ++m) {
-      const Mode& mode = modes[m];
-      const HotpathRun run = run_hotpath_loop(opts, bytes, mode.fast, mode.bucketed);
-      // Slow and fast are two shapes of the same schedule: their virtual
-      // clocks must agree exactly (golden traces pin the full records).
-      // Bucketing coalesces issues, so its schedule — and clock — differ.
-      if (!mode.bucketed) {
-        if (reference_virtual_us < 0.0) {
-          reference_virtual_us = run.virtual_us;
-        } else {
-          MCRDL_REQUIRE(run.virtual_us == reference_virtual_us,
-                        "slow and fast dispatch disagree on virtual time");
-        }
-      }
-      const double ops_per_s = run.wall_s > 0.0 ? total_ops / run.wall_s : 0.0;
-      if (!mode.fast) slow_ops_per_s = ops_per_s;
-      if (mode.bucketed) bucketed_ops_per_s = ops_per_s;
+    double ops_per_s[2] = {0.0, 0.0};
+    double unbucketed_virtual_us = 0.0;
+    for (std::size_t m = 0; m < 2; ++m) {
+      const HotpathRun run = run_hotpath_loop(opts, bytes, modes[m].bucketed);
+      if (!modes[m].bucketed) unbucketed_virtual_us = run.virtual_us;
+      ops_per_s[m] = run.wall_s > 0.0 ? total_ops / run.wall_s : 0.0;
 
       BenchPoint p;
       p.world = opts.world;
       p.bytes = bytes;
       p.virtual_us = run.virtual_us;
-      p.items_per_s = ops_per_s;
+      p.items_per_s = ops_per_s[m];
       report.series[m].points.push_back(p);
     }
     BenchPoint ratio;
     ratio.world = opts.world;
     ratio.bytes = bytes;
-    ratio.virtual_us = reference_virtual_us;
-    ratio.items_per_s = slow_ops_per_s > 0.0 ? bucketed_ops_per_s / slow_ops_per_s : 0.0;
+    ratio.virtual_us = unbucketed_virtual_us;
+    ratio.items_per_s = ops_per_s[0] > 0.0 ? ops_per_s[1] / ops_per_s[0] : 0.0;
     speedup.points.push_back(ratio);
   }
   report.series.push_back(std::move(speedup));
@@ -978,7 +959,7 @@ const std::vector<Experiment>& experiment_registry() {
          options.quick = o.quick;
          return run_resilience(options).bench;
        }},
-      {"hotpath", "dispatch wall-clock throughput: slow vs fast path vs bucketed (DESIGN.md §14)",
+      {"hotpath", "dispatch wall-clock throughput: unbucketed vs bucketed (DESIGN.md §14)",
        [](const ExperimentOptions& o) {
          HotpathOptions options;
          options.quick = o.quick;

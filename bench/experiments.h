@@ -195,21 +195,18 @@ struct ResilienceBenchReport {
 ResilienceBenchReport run_resilience(const ResilienceOptions& options = {});
 
 // Hot-path dispatch experiment (DESIGN.md §14): wall-clock throughput of a
-// small-allreduce loop under three dispatch shapes on the same workload —
+// small-allreduce loop in two modes on the same workload —
 //
-//   "dispatch/slow"     — fast_dispatch=false: fresh OpCall per op, every
-//                         stage invoked, per-call label maps (the referee)
-//   "dispatch/fast"     — arena OpCalls + precompiled stage plans
-//   "dispatch/bucketed" — fast path with gradient bucketing coalescing the
-//                         small collectives into fused issues
+//   "dispatch/unbucketed" — every op dispatched and issued on its own
+//   "dispatch/bucketed"   — gradient bucketing coalesces the small
+//                           collectives into fused issues
 //
 // Like "scale", the quantity of interest is wall clock: each point is one
 // message size (`bytes`), `virtual_us` the run's final virtual instant and
 // `items_per_s` the host-clock dispatch throughput in ops/s across all
-// ranks. Slow and fast must agree on virtual time exactly (the golden
-// traces pin byte-identical records; the run aborts on drift) — bucketing
-// legitimately changes the schedule, so its virtual time differs. A final
-// "speedup" series reports, per size, the bucketed/slow throughput ratio.
+// ranks. Bucketing legitimately changes the schedule, so the two modes'
+// virtual times differ. A final "speedup" series reports, per size, the
+// bucketed/unbucketed throughput ratio.
 struct HotpathOptions {
   int world = 8;                        // Lassen, world/4 nodes
   std::vector<std::size_t> sizes;       // empty = {256, 1024, 4096}

@@ -29,24 +29,4 @@ std::size_t OpRequest::payload_bytes() const {
   return 0;
 }
 
-void OpRequest::recycle() {
-  op = OpType::Barrier;
-  backend.clear();
-  async_op = false;
-  tensor = Tensor();
-  output = Tensor();
-  input = Tensor();
-  outputs.clear();
-  inputs.clear();
-  root = 0;
-  peer = -1;
-  rop = ReduceOp::Sum;
-  send_counts.clear();
-  send_displs.clear();
-  recv_counts.clear();
-  recv_displs.clear();
-  epoch = 0;
-  nested = false;
-}
-
 }  // namespace mcrdl

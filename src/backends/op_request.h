@@ -60,11 +60,6 @@ struct OpRequest {
   // (per-rank bytes, PyTorch convention — matches what each Comm entry point
   // reports in its OpDesc).
   std::size_t payload_bytes() const;
-
-  // Keep-capacity reset for the dispatch arena: drops tensor/backend
-  // references (so no buffer stays pinned while the slot idles) and clears
-  // strings/vectors without freeing their heap storage.
-  void recycle();
 };
 
 }  // namespace mcrdl

@@ -21,21 +21,34 @@ ChainWork::ChainWork(OverlapScheduler* owner, int rank, std::uint64_t epoch,
 void ChainWork::wait() {
   if (done_.load(std::memory_order_acquire)) return;
   try {
-    owner_->drive(rank_, shared_from_this());
-    return;
-  } catch (const RankLostError&) {
-    std::function<void()> recover;
+    try {
+      owner_->drive(rank_, shared_from_this());
+      return;
+    } catch (const RankLostError&) {
+      std::function<void()> recover;
+      {
+        std::lock_guard<std::mutex> lock(owner_->slot(rank_).mu);
+        recover = std::move(recover_);
+        recover_ = nullptr;
+      }
+      if (!recover) throw;
+      // Re-dispatch the original request synchronously through the full
+      // pipeline; its recover stage parks until the epoch advances, remaps
+      // the group onto the survivors and replays — the casualty's own replay
+      // rethrows there, exactly like a flat op's.
+      recover();
+    }
+  } catch (...) {
+    // Failed for good: nothing will complete this handle, so drop its
+    // observers. One holding the handle (the pipeline's completion closure
+    // does) would otherwise keep both alive in a cycle.
+    std::vector<std::function<void()>> dropped;
     {
       std::lock_guard<std::mutex> lock(owner_->slot(rank_).mu);
-      recover = std::move(recover_);
-      recover_ = nullptr;
+      dropped = std::move(callbacks_);
+      callbacks_.clear();
     }
-    if (!recover) throw;
-    // Re-dispatch the original request synchronously through the full
-    // pipeline; its recover stage parks until the epoch advances, remaps the
-    // group onto the survivors and replays — the casualty's own replay
-    // rethrows there, exactly like a flat op's.
-    recover();
+    throw;
   }
   // The replay completed the operation; transition this handle so callers
   // and registered completion observers see one finished op.
@@ -129,7 +142,24 @@ void ChainGroupWork::complete_now() {
 }
 
 void ChainGroupWork::wait() {
-  for (auto& ch : chains_) ch->wait();
+  try {
+    for (auto& ch : chains_) ch->wait();
+  } catch (...) {
+    // A chunk failed for good, so the group never completes: release the
+    // anchor and the observers, or the group and every chunk chain outlive
+    // the runtime. The caller waits through a handle of its own, so this
+    // cannot free the group mid-call.
+    std::shared_ptr<ChainGroupWork> anchor;
+    std::vector<std::function<void()>> dropped;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      anchor = std::move(self_);
+      self_ = nullptr;
+      dropped = std::move(callbacks_);
+      callbacks_.clear();
+    }
+    throw;
+  }
   complete_now();
 }
 

@@ -161,8 +161,9 @@ class ChainGroupWork : public WorkHandle, public std::enable_shared_from_this<Ch
   std::atomic<bool> done_{false};
   SimTime complete_time_ = 0.0;
   // Keeps the group alive while part callbacks are armed even if the caller
-  // drops its handle; cleared on completion (see core/composite_work.h for
-  // the leak shape this avoids).
+  // drops its handle; cleared on completion or when wait() rethrows a
+  // chunk's failure (see core/composite_work.h for the leak shape this
+  // avoids).
   std::shared_ptr<ChainGroupWork> self_;
 };
 

@@ -28,17 +28,11 @@ class CompressionLayer {
   CompressionLayer(ClusterContext* cluster, CompressionConfig config);
 
   const CompressionConfig& config() const { return config_; }
-  void set_config(CompressionConfig config) {
-    config_ = config;
-    version_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  // Bumped by every set_config; the pipeline recompiles its stage plans when
-  // this moves.
-  std::uint32_t config_version() const { return version_.load(std::memory_order_acquire); }
+  void set_config(CompressionConfig config) { config_ = config; }
 
   // True if `op` has a compressed implementation at all — a static property
   // of the layer (movement ops with a contiguous payload), independent of
-  // the current config. Used by the plan compiler.
+  // the current config.
   static bool op_supported(OpType op) {
     return op == OpType::Broadcast || op == OpType::AllGather || op == OpType::AllToAllSingle;
   }
@@ -63,7 +57,6 @@ class CompressionLayer {
 
   ClusterContext* cluster_;
   CompressionConfig config_;
-  std::atomic<std::uint32_t> version_{0};
   compress::ZfpCodec codec_;
   // Atomic: incremented by every rank's actor under the parallel engine.
   std::atomic<int> compressed_op_count_{0};

@@ -55,7 +55,7 @@ void McrDl::init(const std::vector<std::string>& backend_names) {
     // bind the resilience report so recovery counters surface in it. Order
     // matters: arm() re-disarms first, which clears any previous binding.
     cluster_->faults().recovery().arm(cluster_->world_size());
-    cluster_->faults().recovery().bind_report(&failover_->report());
+    cluster_->faults().recovery().bind_report(failover_.get());
     cluster_->faults().recovery().bind_metrics(&cluster_->metrics());
     // Recovery state (epochs, lost set, resilience counters) checkpoints
     // through the store so a restored run rejects stale-epoch ops exactly

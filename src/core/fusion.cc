@@ -95,10 +95,6 @@ void FusionManager::set_config(FusionConfig config) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   config_ = std::move(config);
   admit_mask_.store(mask, std::memory_order_release);
-  // Bump last: a pipeline seeing the new version recompiles against the new
-  // mask; one seeing the old version at worst runs one more dispatch on the
-  // old plan, whose fusion stage re-checks eligible() anyway.
-  version_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 bool FusionManager::eligible(OpType op, const Tensor& t) const {

@@ -46,14 +46,9 @@ class FusionManager {
   void set_config(FusionConfig config);
 
   // True if `op` is in the configured bucketable set. Lock-free (atomic bit
-  // mask): read by the pipeline's plan compiler and by every dispatch.
+  // mask): read by eligible() on every dispatch.
   bool admits(OpType op) const {
     return (admit_mask_.load(std::memory_order_acquire) >> static_cast<unsigned>(op)) & 1u;
-  }
-  // Bumped by every set_config; the pipeline recompiles its stage plans when
-  // this moves.
-  std::uint32_t config_version() const {
-    return version_.load(std::memory_order_acquire);
   }
 
   // True if this (op, tensor) should go through a fusion bucket.
@@ -123,10 +118,9 @@ class FusionManager {
 
   ClusterContext* cluster_;
   FusionConfig config_;
-  // Lock-free mirrors of config_ for the dispatch hot path: the admitted-op
-  // bit mask (OpType fits in 32 bits) and the config version counter.
+  // Lock-free mirror of config_.ops for the dispatch hot path: the
+  // admitted-op bit mask (OpType fits in 32 bits).
   std::atomic<std::uint32_t> admit_mask_{0};
-  std::atomic<std::uint32_t> version_{0};
   // Guards batches_, the statistics counters, and each PendingFusion's
   // flushed/inner/deferred_callbacks (which FusionWork reads from other
   // actors). Recursive because flush paths nest (wait -> force_flush ->

@@ -21,35 +21,7 @@ Comm* OpCall::comm_for(Backend* b) const {
   return group.empty() ? b->world() : b->group(group);
 }
 
-void OpCall::recycle() {
-  ctx = nullptr;
-  rank = 0;
-  group.clear();
-  req.recycle();
-  bytes = 0;
-  resolved = nullptr;
-  requested.clear();
-  admit_fusion = false;
-  admit_compression = false;
-  attempt_backend = nullptr;
-  attempts = 1;
-  rerouted = false;
-  fault.clear();
-  completed_on.clear();
-  recovered = false;
-  fused = false;
-  compressed = false;
-  is_composite = false;
-  composite.algo = coll::CompositeAlgo::Hier;
-  composite.intra.clear();
-  composite.inter.clear();
-  composite.text.clear();
-  fast = false;
-  plan = nullptr;
-  // stage_child_us keeps its buffer; execute() re-sizes it per dispatch.
-}
-
-Work OpNext::operator()() const { return pipeline_->invoke(pos_, *call_); }
+Work OpNext::operator()() const { return pipeline_->invoke(pos_, *call_, child_us_); }
 
 namespace {
 
@@ -66,7 +38,6 @@ class OverheadStage : public OpStage {
     }
     return next();
   }
-  bool provably_noop(const StagePlanInputs& in) const override { return !in.overhead_on; }
 };
 
 // --- resolve: backend string -> Backend*, "auto" via the tuning table -------
@@ -123,9 +94,6 @@ class FusionStage : public OpStage {
                      c.ctx->fusion().eligible(c.req.op, c.req.tensor);
     return next();
   }
-  bool provably_noop(const StagePlanInputs& in) const override {
-    return !in.fusion_on || !in.ctx->fusion().admits(in.op);
-  }
 };
 
 // --- compression: admission by op/dtype/size (paper V-E) --------------------
@@ -140,9 +108,6 @@ class CompressionStage : public OpStage {
     c.admit_compression = !c.req.nested && !c.is_composite &&
                           c.ctx->compression().eligible(c.req.op, payload);
     return next();
-  }
-  bool provably_noop(const StagePlanInputs& in) const override {
-    return !in.compression_on || !CompressionLayer::op_supported(in.op);
   }
 };
 
@@ -160,22 +125,11 @@ class FinishStage : public OpStage {
     // Always-on metrics, independent of the (opt-in) CommLogger: one
     // completion count per op/backend pair, plus an end-to-end latency
     // histogram billed with the logger's convention (execution window when
-    // the backend reported one, posted-at otherwise). Fast-path calls use
-    // the per-(backend, op) handle cache; the slow path rebuilds the label
-    // maps per call, as the pre-fast-path dispatch did.
-    obs::MetricsRegistry& metrics = c.ctx->cluster()->metrics();
-    obs::Counter* ops = nullptr;
-    obs::Histogram* latency = nullptr;
-    if (c.fast) {
-      const Handles& h = cached(c.completed_on, c.req.op, metrics);
-      ops = h.ops;
-      latency = h.latency;
-    } else {
-      const obs::Labels labels{{"backend", c.completed_on}, {"op", op_name(c.req.op)}};
-      ops = &metrics.counter("pipeline_ops", labels);
-      latency = &metrics.histogram("op_latency_us", labels);
-    }
-    ops->inc();
+    // the backend reported one, posted-at otherwise). Both come from the
+    // per-(backend, op) handle cache.
+    const Handles& h = cached(c.completed_on, c.req.op, c.ctx->cluster()->metrics());
+    h.ops->inc();
+    obs::Histogram* latency = h.latency;
     // Bucketed ops bill latency differently: the fusion layer observes every
     // entry's end-to-end latency in ONE batch-level closure at flush
     // completion (src/core/fusion.cc), so the common bucketed dispatch — no
@@ -307,13 +261,11 @@ class FinishStage : public OpStage {
 // the call parks until the epoch advances (quiesce -> shrink has completed),
 // remaps its communicator/root/peer onto the survivors and replays. With
 // recovery disarmed the stage is a pure pass-through — no scheduler
-// interaction, no allocation — so fault-free runs stay byte-identical (and
-// the plan compiler elides it outright on the fast path).
+// interaction, no allocation — so fault-free runs stay byte-identical.
 
 class RecoverStage : public OpStage {
  public:
   const char* name() const override { return "recover"; }
-  bool provably_noop(const StagePlanInputs& in) const override { return !in.recovery_armed; }
   Work run(OpCall& c, const OpNext& next) override {
     fault::FaultInjector& faults = c.ctx->cluster()->faults();
     fault::RecoveryManager& rec = faults.recovery();
@@ -451,13 +403,12 @@ class RecoverStage : public OpStage {
 // string, this stage hands the call to coll::launch, which chains nested
 // sub-operations back through the full pipeline (each leg re-enters at the
 // top with req.nested set, so fault routing, metrics and traces see every
-// leg individually). Plain calls pass straight through to route/issue; with
-// the subsystem disabled the stage is provably no-op and elided.
+// leg individually). Plain calls — every call, with the subsystem disabled —
+// pass straight through to route/issue.
 
 class CollStage : public OpStage {
  public:
   const char* name() const override { return "coll"; }
-  bool provably_noop(const StagePlanInputs& in) const override { return !in.coll_on; }
   Work run(OpCall& c, const OpNext& next) override {
     if (!c.is_composite) return next();
     // Stale-epoch guard, mirroring the issue stage: a composite stamped
@@ -523,8 +474,7 @@ class RouteStage : public OpStage {
     if (current != c.requested) {
       c.rerouted = true;
       c.fault = "unavailable";
-      router->report().rerouted++;
-      router->report().by_backend[c.requested].rerouted++;
+      router->note_reroute(c.requested);
       metrics.counter("failover_reroutes", {{"backend", c.requested}}).inc();
     }
 
@@ -533,12 +483,12 @@ class RouteStage : public OpStage {
     for (;;) {
       ++attempts_on_current;
       ++c.attempts;
-      router->report().attempted++;
+      router->note_attempt();
       c.attempt_backend = c.ctx->backend(current);
       try {
         Work w = next();
         router->record_success(current, c.rank);
-        router->report().succeeded++;
+        router->note_success();
         c.completed_on = current;
         return w;
       } catch (const TransientFault& tf) {
@@ -549,8 +499,7 @@ class RouteStage : public OpStage {
           // Rank-keyed overload decorrelates retry storms when jitter is
           // enabled; with jitter_seed == 0 (default) it is the plain schedule.
           const SimTime backoff = router->retry().backoff(attempts_on_current, c.rank);
-          router->report().retried++;
-          router->report().backoff_time_us += backoff;
+          router->note_retry(backoff);
           metrics.counter("failover_retries", {{"backend", current}}).inc();
           c.ctx->cluster()->scheduler().sleep_for(backoff);
           continue;
@@ -561,14 +510,12 @@ class RouteStage : public OpStage {
         try {
           current = router->next_healthy(current, order, c.rank);
         } catch (const BackendUnavailable&) {
-          router->report().failed++;
-          router->report().by_backend[failed_backend].failed++;
+          router->note_failure(failed_backend);
           metrics.counter("failover_failures", {{"backend", failed_backend}}).inc();
           throw tf;
         }
         c.rerouted = true;
-        router->report().rerouted++;
-        router->report().by_backend[failed_backend].rerouted++;
+        router->note_reroute(failed_backend);
         metrics.counter("failover_reroutes", {{"backend", failed_backend}}).inc();
         attempts_on_current = 0;
       } catch (const BackendUnavailable&) {
@@ -578,14 +525,12 @@ class RouteStage : public OpStage {
         try {
           next_backend = router->next_healthy(current, order, c.rank);
         } catch (const BackendUnavailable&) {
-          router->report().failed++;
-          router->report().by_backend[current].failed++;
+          router->note_failure(current);
           metrics.counter("failover_failures", {{"backend", current}}).inc();
           throw;
         }
         c.rerouted = true;
-        router->report().rerouted++;
-        router->report().by_backend[current].rerouted++;
+        router->note_reroute(current);
         metrics.counter("failover_reroutes", {{"backend", current}}).inc();
         current = next_backend;
         attempts_on_current = 0;
@@ -593,8 +538,7 @@ class RouteStage : public OpStage {
         // A watchdog timeout means peers are wedged mid-collective; re-routing
         // one rank alone cannot realign the group, so it is always fatal.
         router->record_failure(current, c.rank);
-        router->report().failed++;
-        router->report().by_backend[current].failed++;
+        router->note_failure(current);
         metrics.counter("failover_failures", {{"backend", current}}).inc();
         throw;
       }
@@ -657,25 +601,6 @@ class IssueStage : public OpStage {
 
 }  // namespace
 
-// RAII lease of an arena OpCall: releases (recycles) the slot on every exit
-// path, including exceptions unwinding out of the stage chain. Safe because
-// nothing keeps a reference to the OpCall past execute() — completion
-// closures copy the fields they need.
-class OpPipeline::ArenaLease {
- public:
-  ArenaLease(OpPipeline* pipeline, int rank)
-      : pipeline_(pipeline), rank_(rank), call_(pipeline->arena_acquire(rank)) {}
-  ~ArenaLease() { pipeline_->arena_release(rank_, call_); }
-  ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
-  OpCall& call() { return *call_; }
-
- private:
-  OpPipeline* pipeline_;
-  int rank_;
-  OpCall* call_;
-};
-
 OpPipeline::OpPipeline(McrDl* ctx) : ctx_(ctx) {
   MCRDL_REQUIRE(ctx_ != nullptr, "OpPipeline needs a context");
   stages_.push_back(std::make_unique<OverheadStage>());
@@ -688,45 +613,17 @@ OpPipeline::OpPipeline(McrDl* ctx) : ctx_(ctx) {
   stages_.push_back(std::make_unique<RouteStage>());
   stages_.push_back(std::make_unique<IssueStage>());
   rebuild_stage_histograms();
-  pool_count_ = static_cast<std::size_t>(std::max(0, ctx_->cluster()->world_size()));
-  pools_ = std::make_unique<RankPool[]>(pool_count_);
 }
 
 OpPipeline::~OpPipeline() = default;
 
 Work OpPipeline::execute(int rank, const std::vector<int>& group, OpRequest req) {
-  const PlanTable* table = plan_table();
-  if (!ctx_->options().fast_dispatch) {
-    // Slow path — the pre-fast-path dispatch shape, kept as the referee: a
-    // fresh OpCall per op, every stage invoked, per-call label maps in the
-    // finish stage. Golden traces pin that both shapes are byte-identical.
-    OpCall call;
-    call.ctx = ctx_;
-    call.rank = rank;
-    call.group = group;
-    call.req = std::move(req);
-    call.plan = &table->full;
-    call.stage_child_us.assign(table->full.seq.size(), 0.0);
-    return invoke(0, call);
-  }
-  const StagePlan& plan =
-      table->plans[static_cast<std::size_t>(req.op) * kMaskCount + config_mask()];
-  ArenaLease lease(this, rank);
-  OpCall& call = lease.call();
+  OpCall call;
   call.ctx = ctx_;
   call.rank = rank;
-  call.fast = true;
-  call.plan = &plan;
-  // Copy-assign (not move) into the recycled slot so its container capacity
-  // is reused instead of replaced.
   call.group = group;
-  call.req = req;
-  call.stage_child_us.assign(plan.seq.size(), 0.0);
-  Work w = invoke(0, call);
-  // Elided stages observe exactly what their no-op invocation would have:
-  // zero exclusive virtual time, once per completed op.
-  for (const std::uint8_t idx : plan.skipped) stage_hist_[idx]->observe(0.0);
-  return w;
+  call.req = std::move(req);
+  return invoke(0, call, nullptr);
 }
 
 // Resolves the `pipeline_stage_us{stage=...}` histogram of every stage up
@@ -742,26 +639,25 @@ void OpPipeline::rebuild_stage_histograms() {
 }
 
 // Each stage's histogram records its *exclusive* virtual time: the chain is
-// linear (plan position p only invokes position p+1, possibly several times
-// for retries), so exclusive time is this invocation's total minus the time
-// its child invocations accumulated into stage_child_us[pos]. Reading now()
-// is side-effect-free, so the instrumentation cannot move a virtual-time
-// stamp — the golden-trace tests pin this.
-Work OpPipeline::invoke(std::size_t pos, OpCall& call) {
-  const StagePlan& plan = *call.plan;
-  MCRDL_CHECK(pos < plan.seq.size()) << "pipeline ran off the end — missing terminal stage?";
-  const std::size_t index = plan.seq[pos];
+// linear (stage p only invokes stage p+1, possibly several times for
+// retries), so exclusive time is this invocation's total minus what its
+// child invocations added to the local `child_us`. Every settled
+// invocation, completed or thrown, adds its total to the parent's
+// accumulator. Reading now() is side-effect-free, so the instrumentation
+// cannot move a virtual-time stamp — the golden-trace tests pin this.
+Work OpPipeline::invoke(std::size_t pos, OpCall& call, double* parent_child_us) {
+  MCRDL_CHECK(pos < stages_.size()) << "pipeline ran off the end — missing terminal stage?";
   sim::Scheduler& sched = ctx_->cluster()->scheduler();
   const SimTime start = sched.now();
-  const double child_before = call.stage_child_us[pos];
+  double child_us = 0.0;
   const auto settle = [&]() {
     const double total = sched.now() - start;
-    if (pos > 0) call.stage_child_us[pos - 1] += total;
-    return total - (call.stage_child_us[pos] - child_before);
+    if (parent_child_us != nullptr) *parent_child_us += total;
+    return total - child_us;
   };
   try {
-    Work w = stages_[index]->run(call, OpNext(this, &call, pos + 1));
-    stage_hist_[index]->observe(settle());
+    Work w = stages_[pos]->run(call, OpNext(this, &call, pos + 1, &child_us));
+    stage_hist_[pos]->observe(settle());
     return w;
   } catch (...) {
     // Failed attempts still credit their time to the parent so the routing
@@ -770,117 +666,6 @@ Work OpPipeline::invoke(std::size_t pos, OpCall& call) {
     settle();
     throw;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Stage plans
-// ---------------------------------------------------------------------------
-
-unsigned OpPipeline::config_mask() const {
-  unsigned mask = 0;
-  if (ctx_->options().per_call_overhead_us > 0.0) mask |= kMaskOverhead;
-  if (ctx_->fusion().config().enabled) mask |= kMaskFusion;
-  if (ctx_->compression().config().enabled) mask |= kMaskCompression;
-  if (ctx_->cluster()->faults().recovery().armed()) mask |= kMaskRecovery;
-  if (ctx_->coll_enabled()) mask |= kMaskColl;
-  return mask;
-}
-
-std::uint64_t OpPipeline::config_version() const {
-  return static_cast<std::uint64_t>(ctx_->fusion().config_version()) |
-         (static_cast<std::uint64_t>(ctx_->compression().config_version()) << 32);
-}
-
-const OpPipeline::PlanTable* OpPipeline::plan_table() {
-  const std::uint64_t version = config_version();
-  const PlanTable* table = plans_.load(std::memory_order_acquire);
-  if (table != nullptr && table->config_version == version) return table;
-  return recompile_plans(version);
-}
-
-// Compiles the plan of every (op, dynamic-toggle mask) pair by asking each
-// stage whether it is provably a no-op under that snapshot. Rare: runs on
-// first dispatch, after insert_*, and when a fusion/compression set_config
-// bumps its version. Superseded tables are retired, not freed, so plan
-// pointers held by in-flight calls stay valid across a recompile.
-const OpPipeline::PlanTable* OpPipeline::recompile_plans(std::uint64_t version) {
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  const PlanTable* current = plans_.load(std::memory_order_acquire);
-  if (current != nullptr && current->config_version == version) return current;
-  auto table = std::make_unique<PlanTable>();
-  table->config_version = version;
-  table->full.seq.resize(stages_.size());
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    table->full.seq[i] = static_cast<std::uint8_t>(i);
-  }
-  table->plans.resize(kOpCount * kMaskCount);
-  for (std::size_t op = 0; op < kOpCount; ++op) {
-    for (std::size_t mask = 0; mask < kMaskCount; ++mask) {
-      StagePlanInputs in;
-      in.ctx = ctx_;
-      in.op = static_cast<OpType>(op);
-      in.overhead_on = (mask & kMaskOverhead) != 0;
-      in.fusion_on = (mask & kMaskFusion) != 0;
-      in.compression_on = (mask & kMaskCompression) != 0;
-      in.recovery_armed = (mask & kMaskRecovery) != 0;
-      in.coll_on = (mask & kMaskColl) != 0;
-      StagePlan& plan = table->plans[op * kMaskCount + mask];
-      for (std::size_t i = 0; i < stages_.size(); ++i) {
-        if (stages_[i]->provably_noop(in)) {
-          plan.skipped.push_back(static_cast<std::uint8_t>(i));
-        } else {
-          plan.seq.push_back(static_cast<std::uint8_t>(i));
-        }
-      }
-    }
-  }
-  const PlanTable* out = table.get();
-  plan_history_.push_back(std::move(table));
-  plans_.store(out, std::memory_order_release);
-  return out;
-}
-
-std::vector<std::string> OpPipeline::active_stage_names(OpType op) {
-  const PlanTable* table = plan_table();
-  const StagePlan& plan =
-      table->plans[static_cast<std::size_t>(op) * kMaskCount + config_mask()];
-  std::vector<std::string> names;
-  names.reserve(plan.seq.size());
-  for (const std::uint8_t idx : plan.seq) names.emplace_back(stages_[idx]->name());
-  return names;
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch arena
-// ---------------------------------------------------------------------------
-
-OpCall* OpPipeline::arena_acquire(int rank) {
-  if (rank < 0 || static_cast<std::size_t>(rank) >= pool_count_) return new OpCall();
-  RankPool& pool = pools_[static_cast<std::size_t>(rank)];
-  if (pool.free.empty()) {
-    pool.created.fetch_add(1, std::memory_order_relaxed);
-    return new OpCall();
-  }
-  OpCall* call = pool.free.back().release();
-  pool.free.pop_back();
-  return call;
-}
-
-void OpPipeline::arena_release(int rank, OpCall* call) {
-  if (rank < 0 || static_cast<std::size_t>(rank) >= pool_count_) {
-    delete call;
-    return;
-  }
-  call->recycle();
-  pools_[static_cast<std::size_t>(rank)].free.emplace_back(call);
-}
-
-std::size_t OpPipeline::arena_slots() const {
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < pool_count_; ++r) {
-    total += pools_[r].created.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -903,23 +688,15 @@ std::size_t OpPipeline::index_of(const std::string& name) const {
 
 void OpPipeline::insert_before(const std::string& name, std::unique_ptr<OpStage> stage) {
   MCRDL_REQUIRE(stage != nullptr, "insert_before needs a stage");
-  MCRDL_CHECK(stages_.size() < 255) << "OpPipeline stage limit reached";
   stages_.insert(stages_.begin() + static_cast<std::ptrdiff_t>(index_of(name)), std::move(stage));
   rebuild_stage_histograms();
-  // Stage indices moved: invalidate compiled plans (in-flight calls keep
-  // their retired tables; this is a setup-time API).
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  plans_.store(nullptr, std::memory_order_release);
 }
 
 void OpPipeline::insert_after(const std::string& name, std::unique_ptr<OpStage> stage) {
   MCRDL_REQUIRE(stage != nullptr, "insert_after needs a stage");
-  MCRDL_CHECK(stages_.size() < 255) << "OpPipeline stage limit reached";
   stages_.insert(stages_.begin() + static_cast<std::ptrdiff_t>(index_of(name)) + 1,
                  std::move(stage));
   rebuild_stage_histograms();
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  plans_.store(nullptr, std::memory_order_release);
 }
 
 }  // namespace mcrdl

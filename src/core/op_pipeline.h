@@ -24,30 +24,14 @@
 // implement OpStage and call insert_before/insert_after with a neighbour's
 // name — no per-op code needed, the stage sees every operation.
 //
-// Hot path (DESIGN.md §14). Dispatch has two shapes selected by
-// McrDlOptions::fast_dispatch:
-//
-//   fast (default) — the OpCall comes from a per-rank arena (container
-//   capacity survives recycling, so steady-state dispatch allocates
-//   nothing), the op runs a precompiled StagePlan that omits provably no-op
-//   stages, and the finish stage uses cached metric handles instead of
-//   building label maps per call.
-//
-//   slow — the pre-fast-path shape: a fresh OpCall per op, every stage
-//   invoked, labels built per call. Kept as the referee: golden-trace tests
-//   pin that both shapes produce byte-identical virtual time, and the
-//   `hotpath` benchmark reports the two as its before/after series.
-//
-// Skipped stages cannot move virtual time by construction (that is the
-// compile rule), and each one still gets a 0.0 observation into its
-// `pipeline_stage_us` histogram — exactly what its no-op invocation would
-// have recorded — so per-stage metrics are identical under both shapes.
+// Hot path (DESIGN.md §14). Dispatch has one shape: execute() builds a
+// fresh OpCall on its own stack frame and runs every stage in list order.
+// Stages that have nothing to do (overhead 0, fusion off, ...) pass straight
+// through to `next()`. The finish stage resolves its metric handles once per
+// (backend, op) pair and reuses them, so no per-call label maps are built.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,28 +47,6 @@ class Backend;
 class Comm;
 class McrDl;
 class OpPipeline;
-
-// One precompiled pass over the stage list for a given (op, config) pair:
-// the stage indices to run, in order, plus the provably no-op stages that
-// were elided (each still receives a 0.0 histogram observation per op).
-struct StagePlan {
-  std::vector<std::uint8_t> seq;
-  std::vector<std::uint8_t> skipped;
-};
-
-// The config snapshot the plan compiler hands to OpStage::provably_noop.
-// The four booleans are the dynamic toggles re-read on every dispatch (they
-// index the plan table); everything else a stage wants to inspect is
-// reachable through ctx.
-struct StagePlanInputs {
-  McrDl* ctx = nullptr;
-  OpType op = OpType::Barrier;
-  bool overhead_on = false;
-  bool fusion_on = false;
-  bool compression_on = false;
-  bool recovery_armed = false;
-  bool coll_on = false;
-};
 
 // The mutable state of one operation travelling through the pipeline.
 struct OpCall {
@@ -124,45 +86,30 @@ struct OpCall {
   bool fused = false;
   bool compressed = false;
 
-  // True when this call is on the arena fast path (cached metric handles in
-  // the finish stage); false reproduces the pre-fast-path dispatch shape.
-  bool fast = false;
-
-  // The compiled stage sequence this call runs (owned by the pipeline's
-  // plan table, which outlives every in-flight call).
-  const StagePlan* plan = nullptr;
-
-  // Virtual time spent inside downstream stages, indexed by *plan position*;
-  // the pipeline uses it to compute each stage's *exclusive* time for the
-  // `pipeline_stage_us` histograms (sized by execute()).
-  std::vector<double> stage_child_us;
-
   // Size of the call's communicator (group or world).
   int world_size() const;
   // The group/world communicator of `b` for this call.
   Comm* comm_for(Backend* b) const;
-
-  // Keep-capacity reset for arena reuse: drops tensor/backend references and
-  // clears strings/vectors without freeing their buffers.
-  void recycle();
 };
 
 // Continuation invoking the remainder of the pipeline on the current call.
-// A plain (pipeline, call, position) triple — constructing and copying one
-// never allocates, unlike the std::function it replaced (whose three-word
-// capture exceeded the small-buffer optimisation on every stage hop).
+// A plain (pipeline, call, position, accumulator) tuple — constructing and
+// copying one never allocates. `child_us` points at the invoking stage's
+// accumulator of downstream virtual time, which lives in that stage's
+// invoke() frame and outlives every call of this continuation.
 class OpNext {
  public:
   Work operator()() const;
 
  private:
   friend class OpPipeline;
-  OpNext(OpPipeline* pipeline, OpCall* call, std::size_t pos)
-      : pipeline_(pipeline), call_(call), pos_(pos) {}
+  OpNext(OpPipeline* pipeline, OpCall* call, std::size_t pos, double* child_us)
+      : pipeline_(pipeline), call_(call), pos_(pos), child_us_(child_us) {}
 
   OpPipeline* pipeline_;
   OpCall* call_;
   std::size_t pos_;
+  double* child_us_;
 };
 
 class OpStage {
@@ -170,13 +117,6 @@ class OpStage {
   virtual ~OpStage() = default;
   virtual const char* name() const = 0;
   virtual Work run(OpCall& call, const OpNext& next) = 0;
-  // True if, under the given config snapshot, run() would provably neither
-  // move virtual time nor change the call — the plan compiler elides such
-  // stages from the fast path. Default false: custom stages always run.
-  virtual bool provably_noop(const StagePlanInputs& in) const {
-    (void)in;
-    return false;
-  }
 };
 
 class OpPipeline {
@@ -191,58 +131,21 @@ class OpPipeline {
 
   // Stage names in request-path order.
   std::vector<std::string> stage_names() const;
-  // The stages a fast-path dispatch of `op` would actually run under the
-  // current configuration (plan introspection for tests and tools).
-  std::vector<std::string> active_stage_names(OpType op);
   // Insert a custom stage relative to an existing one (by name); throws
   // InvalidArgument if no stage has that name. Setup-time API: the stage
-  // list (and its histogram/plan caches) is read lock-free by every rank's
-  // actor, so stages must be in place before operations start flowing.
+  // list (and its histogram cache) is read lock-free by every rank's actor,
+  // so stages must be in place before operations start flowing.
   void insert_before(const std::string& name, std::unique_ptr<OpStage> stage);
   void insert_after(const std::string& name, std::unique_ptr<OpStage> stage);
-
-  // Total OpCall slots the dispatch arena has ever created (diagnostic: a
-  // steady-state workload holds this constant after warm-up).
-  std::size_t arena_slots() const;
 
  private:
   friend class OpNext;
 
-  // The full compiled plan set for one config fingerprint. Immutable once
-  // published; superseded tables are retired (not freed) until the pipeline
-  // dies, so a plan pointer held by an in-flight call can never dangle.
-  struct PlanTable {
-    std::uint64_t config_version = 0;
-    StagePlan full;                // every stage, no skips (slow path)
-    std::vector<StagePlan> plans;  // [op * kMaskCount + mask]
-  };
-  class ArenaLease;
-  struct RankPool {
-    std::vector<std::unique_ptr<OpCall>> free;
-    std::atomic<std::uint64_t> created{0};
-  };
-
-  static constexpr std::size_t kOpCount = static_cast<std::size_t>(OpType::Barrier) + 1;
-  static constexpr unsigned kMaskOverhead = 1u << 0;
-  static constexpr unsigned kMaskFusion = 1u << 1;
-  static constexpr unsigned kMaskCompression = 1u << 2;
-  static constexpr unsigned kMaskRecovery = 1u << 3;
-  static constexpr unsigned kMaskColl = 1u << 4;
-  static constexpr std::size_t kMaskCount = 1u << 5;
-
-  Work invoke(std::size_t pos, OpCall& call);
+  // Runs stage `pos` on `call`; `parent_child_us` is the invoking stage's
+  // accumulator (null for the first stage).
+  Work invoke(std::size_t pos, OpCall& call, double* parent_child_us);
   std::size_t index_of(const std::string& name) const;
   void rebuild_stage_histograms();
-
-  // Cheap per-dispatch reads of the dynamic config toggles.
-  unsigned config_mask() const;
-  std::uint64_t config_version() const;
-  // The current plan table, recompiling first if the config version moved.
-  const PlanTable* plan_table();
-  const PlanTable* recompile_plans(std::uint64_t version);
-
-  OpCall* arena_acquire(int rank);
-  void arena_release(int rank, OpCall* call);
 
   McrDl* ctx_;
   std::vector<std::unique_ptr<OpStage>> stages_;
@@ -250,22 +153,6 @@ class OpPipeline {
   // resolved eagerly at construction/insert time (registry references are
   // stable) so the per-invocation read takes no lock.
   std::vector<obs::Histogram*> stage_hist_;
-
-  // Published plan table (lock-free reads); plan_mu_ serialises recompiles
-  // and plan_history_ keeps superseded tables alive for in-flight calls.
-  std::atomic<const PlanTable*> plans_{nullptr};
-  std::mutex plan_mu_;
-  std::vector<std::unique_ptr<const PlanTable>> plan_history_;
-
-  // Per-rank OpCall recycling pools, sized once at construction. A rank's
-  // pool is touched only by that rank's actor (reentrant dispatch nests on
-  // the same thread), so the free lists need no lock even under
-  // ParallelShards; `created` is atomic only for the arena_slots()
-  // diagnostic. Ranks outside [0, pool_count_) — impossible in a fixed
-  // world, conceivable under exotic elastic configs — dispatch with an
-  // unpooled heap OpCall instead.
-  std::unique_ptr<RankPool[]> pools_;
-  std::size_t pool_count_ = 0;
 };
 
 }  // namespace mcrdl

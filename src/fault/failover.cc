@@ -93,8 +93,44 @@ bool FailoverRouter::record_failure(const std::string& backend, int rank) {
   // Every rank trips its own breaker (health is per-rank so routing stays
   // sequence-aligned), but the report counts each backend's loss once —
   // re-trips after a failed half-open probe included.
-  if (tripped && tripped_backends_.insert(backend).second) ++report_.breakers_tripped;
+  if (tripped) {
+    std::lock_guard<std::mutex> lock(report_mu_);
+    if (tripped_backends_.insert(backend).second) ++report_.breakers_tripped;
+  }
   return tripped;
+}
+
+void FailoverRouter::note_attempt() {
+  std::lock_guard<std::mutex> lock(report_mu_);
+  ++report_.attempted;
+}
+
+void FailoverRouter::note_success() {
+  std::lock_guard<std::mutex> lock(report_mu_);
+  ++report_.succeeded;
+}
+
+void FailoverRouter::note_retry(SimTime backoff_us) {
+  std::lock_guard<std::mutex> lock(report_mu_);
+  ++report_.retried;
+  report_.backoff_time_us += backoff_us;
+}
+
+void FailoverRouter::note_reroute(const std::string& from) {
+  std::lock_guard<std::mutex> lock(report_mu_);
+  ++report_.rerouted;
+  ++report_.by_backend[from].rerouted;
+}
+
+void FailoverRouter::note_failure(const std::string& backend) {
+  std::lock_guard<std::mutex> lock(report_mu_);
+  ++report_.failed;
+  ++report_.by_backend[backend].failed;
+}
+
+void FailoverRouter::update_report(const std::function<void(ResilienceReport&)>& fn) {
+  std::lock_guard<std::mutex> lock(report_mu_);
+  fn(report_);
 }
 
 void FailoverRouter::age_breaker(const std::string& backend, int rank) {

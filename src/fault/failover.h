@@ -13,8 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -82,8 +84,7 @@ struct FaultOptions {
 };
 
 // Health-aware routing over a fixed preference order. One instance per
-// McrDl context; shared by all ranks (the single-baton scheduler serialises
-// access).
+// McrDl context, shared by all ranks.
 class FailoverRouter {
  public:
   FailoverRouter(FaultInjector* injector, RetryPolicy retry, BreakerConfig breaker,
@@ -133,7 +134,17 @@ class FailoverRouter {
   CircuitBreaker& breaker() { return breaker_; }
   FaultInjector* injector() const { return injector_; }
 
-  ResilienceReport& report() { return report_; }
+  // Report accounting. Ranks route concurrently under ParallelShards, so
+  // every write to the report takes report_mu_: the route stage's through
+  // the note_* calls, the recovery manager's mirror through update_report.
+  void note_attempt();
+  void note_success();
+  void note_retry(SimTime backoff_us);
+  void note_reroute(const std::string& from);
+  void note_failure(const std::string& backend);
+  void update_report(const std::function<void(ResilienceReport&)>& fn);
+
+  // Unsynchronized: read once no rank is routing any more.
   const ResilienceReport& report() const { return report_; }
 
  private:
@@ -141,6 +152,7 @@ class FailoverRouter {
   RetryPolicy retry_;
   CircuitBreaker breaker_;
   bool failover_;
+  std::mutex report_mu_;
   ResilienceReport report_;
   std::set<std::string> tripped_backends_;  // report each backend's trip once
 };

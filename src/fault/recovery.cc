@@ -109,7 +109,7 @@ void RecoveryManager::disarm() {
   lost_.clear();
   survivors_.clear();
   world_size_ = 0;
-  report_ = nullptr;
+  router_ = nullptr;
   metrics_ = nullptr;
   grow_drained_.clear();
   // drains_/grows_ survive: engines register for their own lifetime, not a
@@ -231,17 +231,19 @@ void RecoveryManager::wait_epoch_past(std::uint64_t epoch) {
 }
 
 void RecoveryManager::note_recovered() {
+  std::lock_guard<std::mutex> lock(notes_mu_);
   ++stats_.recovered_ops;
   push_report();
 }
 
 void RecoveryManager::note_stale_rejection() {
+  std::lock_guard<std::mutex> lock(notes_mu_);
   ++stats_.stale_rejections;
   push_report();
 }
 
-void RecoveryManager::bind_report(ResilienceReport* report) {
-  report_ = report;
+void RecoveryManager::bind_report(FailoverRouter* router) {
+  router_ = router;
   push_report();
 }
 
@@ -316,16 +318,18 @@ void RecoveryManager::restore_state(const std::string& body) {
 }
 
 void RecoveryManager::push_report() {
-  if (report_ == nullptr) return;
-  report_->ranks_lost = stats_.ranks_lost;
-  report_->epochs = stats_.epochs;
-  report_->recovered = stats_.recovered_ops;
-  report_->stale_rejections = stats_.stale_rejections;
-  report_->ranks_rejoined = stats_.ranks_rejoined;
-  report_->grow_events = stats_.grow_events;
-  report_->checkpoint_restores = stats_.checkpoint_restores;
-  for (const auto& [backend, drained] : grow_drained_)
-    report_->by_backend[backend].grow_drained = drained;
+  if (router_ == nullptr) return;
+  router_->update_report([this](ResilienceReport& report) {
+    report.ranks_lost = stats_.ranks_lost;
+    report.epochs = stats_.epochs;
+    report.recovered = stats_.recovered_ops;
+    report.stale_rejections = stats_.stale_rejections;
+    report.ranks_rejoined = stats_.ranks_rejoined;
+    report.grow_events = stats_.grow_events;
+    report.checkpoint_restores = stats_.checkpoint_restores;
+    for (const auto& [backend, drained] : grow_drained_)
+      report.by_backend[backend].grow_drained = drained;
+  });
 }
 
 }  // namespace mcrdl::fault

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -150,10 +151,10 @@ class RecoveryManager {
   void note_recovered();
   void note_stale_rejection();
   const RecoveryStats& stats() const { return stats_; }
-  // Mirrors ranks_lost/epochs/recovered/stale counts into `report` (pass
-  // nullptr to detach). The report outlives chaos runs; the manager pushes
-  // updates at every state change.
-  void bind_report(ResilienceReport* report);
+  // Mirrors ranks_lost/epochs/recovered/stale counts into `router`'s report
+  // (pass nullptr to detach). The report outlives chaos runs; the manager
+  // pushes updates at every state change.
+  void bind_report(FailoverRouter* router);
   // Records grow/restore events as `recovery_grow_*` counters in `registry`
   // (pass nullptr to detach). Purely observational.
   void bind_metrics(obs::MetricsRegistry* registry);
@@ -189,7 +190,10 @@ class RecoveryManager {
   std::vector<std::uint64_t> loss_events_;
   RecoveryStats stats_;
   std::map<std::string, std::uint64_t> grow_drained_;  // per-backend, for the report
-  ResilienceReport* report_ = nullptr;
+  // Serialises the note_* counters, which ranks bump concurrently under
+  // ParallelShards; every other writer of stats_ runs in event context.
+  std::mutex notes_mu_;
+  FailoverRouter* router_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   sim::SimCondition epoch_cond_;
 };

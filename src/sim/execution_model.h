@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/shard_slot.h"
 #include "src/common/status.h"
@@ -72,6 +73,22 @@ struct Actor {
   bool wait_prepared = false;
   bool pending_wake = false;
 };
+
+// Called by run() once every actor thread has joined: moves the finished
+// actors out of `actors` so the next run() starts only actors spawned after
+// this one returned, and frees their closures (and whatever those captured).
+// The Actor records themselves stay alive in `retired` until the engine dies:
+// a stale wait token (an abandoned SimCondition registration, a force-woken
+// sleeper's timer) may still name one, and try_wake must be able to read it
+// without touching freed memory. A finished actor is never made runnable.
+inline void retire_actors(std::vector<std::unique_ptr<Actor>>& actors,
+                          std::vector<std::unique_ptr<Actor>>& retired) {
+  for (auto& a : actors) {
+    a->fn = nullptr;
+    retired.push_back(std::move(a));
+  }
+  actors.clear();
+}
 
 // A pending timed-event callback, ordered by (time, sequence) so that
 // simultaneous events fire FIFO in scheduling order under both engines.

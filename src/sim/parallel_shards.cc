@@ -71,6 +71,10 @@ void ParallelShards::run() {
   }
 
   for (auto& a : actors_) a->thread.join();
+  // Stale tokens of a retired actor lock shard 0's mutex from now on; a
+  // later run() may bring up fewer shards than its old index.
+  for (auto& a : actors_) a->shard = 0;
+  retire_actors(actors_, retired_);
   running_.store(false);
   std::exception_ptr err;
   {

@@ -111,7 +111,10 @@ class ParallelShards final : public ExecutionModel {
 
   const int requested_threads_;
   int shard_count_ = 1;
+  // Actors spawned for the next (or current) run(); finished ones move to
+  // retired_ when run() returns (see detail::retire_actors).
   std::vector<std::unique_ptr<detail::Actor>> actors_;
+  std::vector<std::unique_ptr<detail::Actor>> retired_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // Timed-event queue; guarded by events_mu_ (actors schedule concurrently,

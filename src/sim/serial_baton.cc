@@ -40,6 +40,7 @@ void SerialBaton::run() {
     main_cv_.wait(lock, [&] { return live_actors_ == 0; });
   }
   for (auto& a : actors_) a->thread.join();
+  retire_actors(actors_, retired_);
   running_ = false;
   if (first_error_) {
     auto err = first_error_;

@@ -73,7 +73,10 @@ class SerialBaton final : public ExecutionModel {
   mutable std::mutex mu_;
   std::condition_variable main_cv_;
 
+  // Actors spawned for the next (or current) run(); finished ones move to
+  // retired_ when run() returns (see detail::retire_actors).
   std::vector<std::unique_ptr<detail::Actor>> actors_;
+  std::vector<std::unique_ptr<detail::Actor>> retired_;
   std::deque<detail::Actor*> run_queue_;
   std::priority_queue<std::shared_ptr<detail::TimedEvent>,
                       std::vector<std::shared_ptr<detail::TimedEvent>>, detail::TimedEventOrder>

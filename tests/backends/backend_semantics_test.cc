@@ -4,7 +4,9 @@
 // paper Section V-D.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <vector>
 
 #include "src/backends/backend.h"
 
@@ -284,6 +286,39 @@ TEST_F(SemanticsTest, UnknownBackendNameRejected) {
   // The paper's four evaluated backends, plus the gloo extensibility demo.
   EXPECT_EQ(available_backend_names().size(), 4u);
   EXPECT_NE(make_backend("gloo", cluster_.get()), nullptr);
+}
+
+// Two run_spmd calls on one cluster: each runs its own function exactly once
+// per rank, on both engines — a later run never restarts finished actors.
+TEST(RunSpmd, SecondCallRunsOnlyItsOwnFunction) {
+  for (const sim::ExecutionConfig& exec :
+       {sim::ExecutionConfig::serial(), sim::ExecutionConfig::parallel(2),
+        sim::ExecutionConfig::parallel(4)}) {
+    ClusterContext cluster(net::SystemConfig::lassen(1), exec);
+    std::unique_ptr<Backend> mpi = make_backend("mv2-gdr", &cluster);
+    mpi->init();
+    const int world = cluster.world_size();
+    std::vector<std::atomic<int>> first(static_cast<std::size_t>(world));
+    std::vector<std::atomic<int>> second(static_cast<std::size_t>(world));
+    std::vector<double> sums(static_cast<std::size_t>(world), 0.0);
+    cluster.run_spmd([&](int rank) {
+      first[static_cast<std::size_t>(rank)].fetch_add(1);
+      Tensor t = Tensor::full({4}, DType::F32, 1.0, cluster.device(rank));
+      mpi->world()->all_reduce(rank, t, ReduceOp::Sum, /*async_op=*/false);
+    });
+    cluster.run_spmd([&](int rank) {
+      second[static_cast<std::size_t>(rank)].fetch_add(1);
+      Tensor t = Tensor::full({4}, DType::F32, rank + 1.0, cluster.device(rank));
+      mpi->world()->all_reduce(rank, t, ReduceOp::Sum, /*async_op=*/false);
+      sums[static_cast<std::size_t>(rank)] = t.get(0);
+    });
+    for (int r = 0; r < world; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      EXPECT_EQ(first[i].load(), 1) << exec.describe() << " rank " << r;
+      EXPECT_EQ(second[i].load(), 1) << exec.describe() << " rank " << r;
+      EXPECT_DOUBLE_EQ(sums[i], world * (world + 1) / 2.0) << exec.describe() << " rank " << r;
+    }
+  }
 }
 
 }  // namespace

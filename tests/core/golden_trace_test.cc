@@ -180,10 +180,8 @@ fault::FaultPlan chaos_plan() {
 // recovery armed but a loss instant beyond the end of the run, 4 = mode 3
 // plus a rejoin spec even further out (grow path armed, never fired).
 std::string run_scenario(int fault_mode,
-                         sim::ExecutionConfig exec = sim::ExecutionConfig::serial(),
-                         bool fast_dispatch = true) {
+                         sim::ExecutionConfig exec = sim::ExecutionConfig::serial()) {
   McrDlOptions opts = base_options();
-  opts.fast_dispatch = fast_dispatch;
   if (fault_mode == 1) opts.fault.enabled = true;
   if (fault_mode == 2) {
     opts.fault.enabled = true;
@@ -290,26 +288,6 @@ TEST(GoldenTrace, ParallelShardsIsByteIdenticalToSerial) {
 // cannot hide behind both engines drifting together.
 TEST(GoldenTrace, ParallelShardsMatchesGolden) {
   compare_with_golden("trace_nofault.txt", run_scenario(0, sim::ExecutionConfig::parallel(4)));
-}
-
-// Hot-path invariant (DESIGN.md §14): fast dispatch — arena OpCalls,
-// precompiled stage plans that elide provably no-op stages, cached metric
-// handles — is an *implementation* of dispatch, not a semantics change.
-// The slow path (a fresh OpCall per op, every stage invoked) must produce
-// the identical trace, virtual-time stamp for stamp, on both engines and
-// under the chaos plan's full retry/failover machinery.
-TEST(GoldenTrace, FastAndSlowDispatchAreByteIdentical) {
-  EXPECT_EQ(run_scenario(0), run_scenario(0, sim::ExecutionConfig::serial(), false));
-  EXPECT_EQ(run_scenario(2), run_scenario(2, sim::ExecutionConfig::serial(), false));
-  EXPECT_EQ(run_scenario(0, sim::ExecutionConfig::parallel(4)),
-            run_scenario(0, sim::ExecutionConfig::parallel(4), false));
-}
-
-// The slow path matches the checked-in golden too (it IS the shape that
-// generated it), so fast and slow cannot drift together unnoticed.
-TEST(GoldenTrace, SlowDispatchMatchesGolden) {
-  compare_with_golden("trace_nofault.txt",
-                      run_scenario(0, sim::ExecutionConfig::serial(), false));
 }
 
 }  // namespace

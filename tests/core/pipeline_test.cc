@@ -174,53 +174,17 @@ TEST_F(PipelineTest, PayloadBytesFollowsPerOpConvention) {
   EXPECT_EQ(req.payload_bytes(), 0u);
 }
 
-// Fast-path stage plans (DESIGN.md §14): with every optional subsystem off,
-// the compiled plan runs only the stages that can do work, and flipping a
-// toggle (fusion enabled, overhead > 0) re-admits the matching stage without
-// any explicit invalidation call.
-TEST_F(PipelineTest, StagePlansElideProvablyNoopStages) {
-  make();
-  mcr_->init({"nccl"});
-  // Default options: overhead 0, fusion/compression disabled, recovery off.
-  EXPECT_EQ(mcr_->pipeline().active_stage_names(OpType::AllReduce),
-            (std::vector<std::string>{"resolve", "finish", "route", "issue"}));
-
-  // Enabling fusion re-admits the fusion stage for admitted ops only.
-  FusionConfig fusion;
-  fusion.enabled = true;
-  mcr_->fusion().set_config(fusion);
-  EXPECT_EQ(mcr_->pipeline().active_stage_names(OpType::AllReduce),
-            (std::vector<std::string>{"resolve", "fusion", "finish", "route", "issue"}));
-  // Broadcast is not in the default bucketable set: still elided.
-  EXPECT_EQ(mcr_->pipeline().active_stage_names(OpType::Broadcast),
-            (std::vector<std::string>{"resolve", "finish", "route", "issue"}));
-
-  // Compression admits only its movement ops.
-  CompressionConfig comp;
-  comp.enabled = true;
-  mcr_->compression().set_config(comp);
-  EXPECT_EQ(mcr_->pipeline().active_stage_names(OpType::Broadcast),
-            (std::vector<std::string>{"resolve", "compression", "finish", "route", "issue"}));
-  EXPECT_EQ(mcr_->pipeline().active_stage_names(OpType::AllReduce),
-            (std::vector<std::string>{"resolve", "fusion", "finish", "route", "issue"}));
-
-  // Per-call overhead re-admits the overhead stage for everything.
-  mcr_->options().per_call_overhead_us = 1.5;
-  EXPECT_EQ(mcr_->pipeline().active_stage_names(OpType::Barrier),
-            (std::vector<std::string>{"overhead", "resolve", "finish", "route", "issue"}));
-}
-
-// Custom stages have no provably_noop proof, so they always run — and
-// inserting one invalidates previously compiled plans.
+// An inserted stage runs on every op under the default configuration too,
+// where the built-in overhead, fusion, compression, recover and coll stages
+// have nothing to do: dispatch has one shape and never skips a stage.
 TEST_F(PipelineTest, CustomStagesAreNeverElided) {
   make();
   mcr_->init({"nccl"});
-  // Force a plan compile before the insert.
-  EXPECT_EQ(mcr_->pipeline().active_stage_names(OpType::AllReduce).size(), 4u);
   std::vector<OpType> seen;
   mcr_->pipeline().insert_after("resolve", std::make_unique<CountingStage>(&seen));
-  EXPECT_EQ(mcr_->pipeline().active_stage_names(OpType::AllReduce),
-            (std::vector<std::string>{"resolve", "counting", "finish", "route", "issue"}));
+  EXPECT_EQ(mcr_->pipeline().stage_names(),
+            (std::vector<std::string>{"overhead", "resolve", "counting", "fusion", "compression",
+                                      "finish", "recover", "coll", "route", "issue"}));
   cluster_->run_spmd([&](int rank) {
     Api api = mcr_->on(rank);
     Tensor t = Tensor::full({4}, DType::F32, 1.0, cluster_->device(rank));
@@ -231,52 +195,38 @@ TEST_F(PipelineTest, CustomStagesAreNeverElided) {
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(world()));
 }
 
-// The dispatch arena recycles OpCalls: slot creation must stop once every
-// rank has warmed its pool, no matter how many ops follow.
-TEST_F(PipelineTest, ArenaSlotCountPlateausInSteadyState) {
-  make();
-  mcr_->init({"nccl"});
-  std::size_t after_warmup = 0;
-  cluster_->run_spmd([&](int rank) {
-    Api api = mcr_->on(rank);
-    for (int i = 0; i < 4; ++i) {
-      Tensor t = Tensor::full({4}, DType::F32, 1.0, cluster_->device(rank));
-      api.all_reduce("nccl", t);
-    }
-    api.barrier("nccl");
-    // Draining the stream waits out the barrier, so every rank has dispatched
-    // its warmup ops (and warmed its pool) before this returns.
-    api.synchronize();
-    if (rank == 0) after_warmup = mcr_->pipeline().arena_slots();
-    api.barrier("nccl");
-    for (int i = 0; i < 64; ++i) {
-      Tensor t = Tensor::full({4}, DType::F32, 1.0, cluster_->device(rank));
-      api.all_reduce("nccl", t);
-    }
-  });
-  EXPECT_GT(after_warmup, 0u);
-  EXPECT_EQ(mcr_->pipeline().arena_slots(), after_warmup)
-      << "steady-state dispatch must reuse arena slots, not create new ones";
-}
-
-// The slow path must survive the same workload with identical results (its
-// trace equivalence is pinned by the golden tests; this guards the API).
-TEST_F(PipelineTest, SlowDispatchProducesSameData) {
+// Exclusive stage time under retries. A failed issue attempt throws through
+// invoke(), yet its virtual time must still be credited to the route stage's
+// child accumulator: the route stage's exclusive time is then exactly its
+// backoff sleeps, and only settled-and-completed invocations are counted.
+TEST_F(PipelineTest, ExclusiveStageTimeIsExactUnderRetries) {
   McrDlOptions opts;
-  opts.fast_dispatch = false;
+  opts.fault.enabled = true;
+  opts.fault.plan.seed = 7;
+  opts.fault.plan.specs.push_back(
+      fault::FaultSpec::transient_op("mv2-gdr", OpType::AllReduce, 0.2));
   make(2, opts);
-  mcr_->init({"nccl"});
+  ASSERT_EQ(world(), 8);
+  mcr_->init({"mv2-gdr"});
+  constexpr int kOps = 50;
   cluster_->run_spmd([&](int rank) {
     Api api = mcr_->on(rank);
-    Tensor t = Tensor::full({8}, DType::F32, rank + 1.0, cluster_->device(rank));
-    api.all_reduce("nccl", t);
-    api.synchronize();
-    double expected = 0.0;
-    for (int r = 0; r < world(); ++r) expected += r + 1.0;
-    EXPECT_DOUBLE_EQ(t.get(0), expected);
+    for (int i = 0; i < kOps; ++i) {
+      Tensor t = Tensor::full({256}, DType::F32, 1.0, cluster_->device(rank));
+      api.all_reduce("mv2-gdr", t);
+    }
   });
-  // The arena is bypassed entirely on the slow path.
-  EXPECT_EQ(mcr_->pipeline().arena_slots(), 0u);
+  const fault::ResilienceReport& report = mcr_->failover()->report();
+  ASSERT_GT(report.retried, 0u) << "the plan must inject retried faults";
+  const obs::MetricsRegistry& m = cluster_->metrics();
+  for (const std::string& stage : mcr_->pipeline().stage_names()) {
+    const obs::Histogram* h = m.find_histogram("pipeline_stage_us", {{"stage", stage}});
+    ASSERT_NE(h, nullptr) << stage;
+    EXPECT_EQ(h->count(), static_cast<std::uint64_t>(kOps * world())) << stage;
+  }
+  const obs::Histogram* route = m.find_histogram("pipeline_stage_us", {{"stage", "route"}});
+  EXPECT_NEAR(route->sum(), report.backoff_time_us, 1e-6);
+  EXPECT_GT(report.backoff_time_us, 0.0);
 }
 
 }  // namespace

@@ -264,6 +264,35 @@ TEST_P(ExecutionModelTest, ManyActorsManySleepsStress) {
   EXPECT_DOUBLE_EQ(sched.now(), 3.0 * kRounds);  // slowest actor: 3us rounds
 }
 
+// A later run() starts only the actors spawned after the previous one
+// returned. A wait token kept from the earlier run names a retired actor:
+// waking it during a smaller run (fewer shards under ParallelShards) must be
+// refused.
+TEST_P(ExecutionModelTest, LaterRunStartsOnlyNewActors) {
+  Scheduler sched(config());
+  std::atomic<int> first{0};
+  Scheduler::WaitToken kept;
+  for (int i = 0; i < 4; ++i) {
+    sched.spawn("a" + std::to_string(i), [&, i] {
+      Scheduler::WaitToken token = sched.prepare_wait();
+      sched.schedule_at(1.0, [&sched, token] { sched.try_wake(token, WakeReason::Normal); });
+      sched.commit_wait();
+      if (i == 3) kept = token;
+      first.fetch_add(1);
+    });
+  }
+  sched.run();
+  bool woke = true;
+  sched.spawn("b", [&] {
+    woke = sched.try_wake(kept, WakeReason::Normal);
+    sched.sleep_for(1.0);
+  });
+  sched.run();
+  EXPECT_EQ(first.load(), 4);
+  EXPECT_FALSE(woke);
+  EXPECT_DOUBLE_EQ(sched.now(), 2.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, ExecutionModelTest,
                          ::testing::Values(ExecutionConfig::serial(),
                                            ExecutionConfig::parallel(2),

@@ -74,10 +74,10 @@ void check_schema(const obs::JsonValue& doc) {
       if (p.at("virtual_us").number < 0.0) throw InvalidArgument("negative virtual_us");
       if (p.at("bytes").number <= prev_bytes) increasing = false;
       prev_bytes = p.at("bytes").number;
-      // The hotpath speedup series carries the bucketed/slow wall-clock
-      // throughput ratio. Committed exports show >=5x; the CI gate is
-      // deliberately lenient (1.5x) so a loaded runner cannot flake it,
-      // while still catching a fast path that regressed to slow-path cost.
+      // The hotpath speedup series carries the bucketed/unbucketed
+      // wall-clock throughput ratio. Committed exports show >=4x; the CI
+      // gate is deliberately lenient (1.5x) so a loaded runner cannot flake
+      // it, while still catching bucketing that stopped amortizing dispatch.
       if (experiment == "hotpath" && s.at("name").str == "speedup") {
         if (p.at("items_per_s").number < 1.5) {
           throw InvalidArgument("hotpath speedup dropped below 1.5x at bytes=" +
