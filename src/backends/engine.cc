@@ -1,6 +1,7 @@
 #include "src/backends/engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "src/fault/recovery.h"
@@ -19,42 +20,42 @@ bool usable(const Tensor& t) { return t.defined() && t.materialized(); }
 // evenly across `size` ranks.
 std::int64_t block_count(std::int64_t n, int size) { return n / size; }
 
+// The usable inputs of a reducing collective, in slot order: the fold order.
+// Phantom collectives (paper-scale timing runs) find none and allocate nothing.
+std::vector<const Tensor*> reduce_inputs(const std::vector<ArrivalSlot>& slots) {
+  std::vector<const Tensor*> inputs;
+  for (const auto& s : slots) {
+    if (usable(s.input)) inputs.push_back(&s.input);
+  }
+  return inputs;
+}
+
+// Avg divides by the slot count (every member), not by the usable inputs.
+std::optional<double> avg_scale(const OpDesc& desc, const std::vector<ArrivalSlot>& slots) {
+  if (desc.rop != ReduceOp::Avg) return std::nullopt;
+  return 1.0 / static_cast<int>(slots.size());
+}
+
 void apply_all_reduce(const OpDesc& desc, std::vector<ArrivalSlot>& slots) {
-  // Accumulate into a scratch clone, then distribute (in-place semantics:
-  // every rank's `input` doubles as its output, like torch.all_reduce).
-  const int size = static_cast<int>(slots.size());
-  Tensor acc;
-  for (auto& s : slots) {
-    if (!usable(s.input)) continue;
-    if (!acc.defined()) {
-      acc = s.input.clone();
-    } else {
-      acc.reduce_inplace(s.input, desc.rop);
-    }
-  }
-  if (!acc.defined()) return;
-  if (desc.rop == ReduceOp::Avg) acc.scale(1.0 / size);
-  for (auto& s : slots) {
-    if (usable(s.input)) s.input.copy_from(acc);
-  }
+  // In-place semantics: every rank's `input` doubles as its output, like
+  // torch.all_reduce — one pass reads every input and writes every input.
+  const std::vector<const Tensor*> inputs = reduce_inputs(slots);
+  if (inputs.empty()) return;
+  std::vector<ReduceTarget> targets;
+  targets.reserve(inputs.size());
+  for (const Tensor* in : inputs) targets.push_back({*in, 0});
+  reduce_n(inputs, desc.rop, avg_scale(desc, slots), targets);
 }
 
 void apply_reduce(const OpDesc& desc, std::vector<ArrivalSlot>& slots) {
-  const int size = static_cast<int>(slots.size());
-  Tensor acc;
-  for (auto& s : slots) {
-    if (!usable(s.input)) continue;
-    if (!acc.defined()) {
-      acc = s.input.clone();
-    } else {
-      acc.reduce_inplace(s.input, desc.rop);
-    }
-  }
-  if (!acc.defined()) return;
-  if (desc.rop == ReduceOp::Avg) acc.scale(1.0 / size);
+  const std::vector<const Tensor*> inputs = reduce_inputs(slots);
+  if (inputs.empty()) return;
   ArrivalSlot& root = slots[static_cast<std::size_t>(desc.root)];
-  Tensor& dst = root.output.defined() ? root.output : root.input;
-  if (usable(dst)) dst.copy_from(acc);
+  const Tensor& dst = root.output.defined() ? root.output : root.input;
+  if (!usable(dst)) return;
+  MCRDL_REQUIRE(dst.numel() == inputs.front()->numel(), "reduce output numel mismatch");
+  const ReduceTarget target{dst, 0};
+  reduce_n(inputs, desc.rop, avg_scale(desc, slots), {&target, 1});
 }
 
 void apply_broadcast(const OpDesc& desc, std::vector<ArrivalSlot>& slots) {
@@ -125,23 +126,17 @@ void apply_scatter(const OpDesc& desc, std::vector<ArrivalSlot>& slots, bool vec
 }
 
 void apply_reduce_scatter(const OpDesc& desc, std::vector<ArrivalSlot>& slots) {
+  const std::vector<const Tensor*> inputs = reduce_inputs(slots);
+  if (inputs.empty()) return;
   const int size = static_cast<int>(slots.size());
-  Tensor acc;
-  for (auto& s : slots) {
-    if (!usable(s.input)) continue;
-    if (!acc.defined()) {
-      acc = s.input.clone();
-    } else {
-      acc.reduce_inplace(s.input, desc.rop);
-    }
-  }
-  if (!acc.defined()) return;
-  if (desc.rop == ReduceOp::Avg) acc.scale(1.0 / size);
-  const std::int64_t block = block_count(acc.numel(), size);
+  const std::int64_t block = block_count(inputs.front()->numel(), size);
+  std::vector<ReduceTarget> targets;
+  targets.reserve(slots.size());
   for (int r = 0; r < size; ++r) {
-    Tensor& dst = slots[static_cast<std::size_t>(r)].output;
-    if (usable(dst)) dst.view(0, block).copy_from(acc.view(r * block, block));
+    const Tensor& dst = slots[static_cast<std::size_t>(r)].output;
+    if (usable(dst)) targets.push_back({dst.view(0, block), r * block});
   }
+  reduce_n(inputs, desc.rop, avg_scale(desc, slots), targets);
 }
 
 void apply_all_to_all_single(std::vector<ArrivalSlot>& slots) {
@@ -334,6 +329,11 @@ void Rendezvous::cancel(std::exception_ptr err) {
   done_cond_.notify_all();
 }
 
+void Rendezvous::abandon() {
+  std::lock_guard<std::recursive_mutex> lock(*mu_);
+  completion_callbacks_.clear();
+}
+
 std::vector<int> Rendezvous::posted_indices() const {
   std::lock_guard<std::recursive_mutex> lock(*mu_);
   std::vector<int> out;
@@ -404,6 +404,7 @@ CollectiveEngine::CollectiveEngine(sim::Scheduler* sched, net::CostModel cost_mo
 CollectiveEngine::~CollectiveEngine() {
   if (faults_ != nullptr && drain_id_ != 0) faults_->recovery().unregister_drain(drain_id_);
   if (faults_ != nullptr && grow_id_ != 0) faults_->recovery().unregister_grow(grow_id_);
+  for (auto& [seq, rv] : pending_) rv->abandon();
 }
 
 std::uint64_t CollectiveEngine::drain_lost(const std::vector<int>& lost) {
@@ -642,6 +643,11 @@ void P2pOp::cancel(std::exception_ptr err) {
   done_cond_.notify_all();
 }
 
+void P2pOp::abandon() {
+  std::lock_guard<std::recursive_mutex> lock(*mu_);
+  completion_callbacks_.clear();
+}
+
 void P2pOp::maybe_finish() {
   // Callers hold mu_ (recursive).
   if (!send_ready_ || !recv_ready_ || done_ || error_) return;
@@ -711,6 +717,11 @@ P2pEngine::P2pEngine(sim::Scheduler* sched, net::CostModel cost_model,
 P2pEngine::~P2pEngine() {
   if (faults_ != nullptr && drain_id_ != 0) faults_->recovery().unregister_drain(drain_id_);
   if (faults_ != nullptr && grow_id_ != 0) faults_->recovery().unregister_grow(grow_id_);
+  for (auto* table : {&pending_sends_, &pending_recvs_}) {
+    for (auto& [key, queue] : *table) {
+      for (auto& op : queue) op->abandon();
+    }
+  }
 }
 
 std::uint64_t P2pEngine::drain_lost(const std::vector<int>& lost) {

@@ -127,6 +127,11 @@ class Rendezvous : public std::enable_shared_from_this<Rendezvous> {
   // communication streams unwedge while host waiters still observe the
   // error. No data effects are applied.
   void cancel(std::exception_ptr err);
+  // Drops the completion callbacks of a rendezvous that will never complete
+  // because its engine is being destroyed (a deadlocked or abandoned run).
+  // They capture the Work handles that own this rendezvous; the cycle would
+  // otherwise outlive the engine.
+  void abandon();
   // True once every participant has signalled readiness — the wire phase
   // has begun and completion is already scheduled. Quiesce drains skip
   // started rendezvous: packets in flight deliver, consistently everywhere.
@@ -273,6 +278,8 @@ class P2pOp : public std::enable_shared_from_this<P2pOp> {
   // Like doom(), but opens both gates so a stream parked behind the pair
   // unwedges (recovery quiesce; see Rendezvous::cancel).
   void cancel(std::exception_ptr err);
+  // As Rendezvous::abandon, for a pair still queued when its engine goes.
+  void abandon();
   bool doomed() const {
     std::lock_guard<std::recursive_mutex> lock(*mu_);
     return error_ != nullptr;

@@ -14,9 +14,10 @@ namespace {
 
 // Scratch with the payload's storage mode: materialized composites do real
 // reduction math on real buffers, phantom (paper-scale) ones stay
-// metadata-only through the very same phase structure.
+// metadata-only through the very same phase structure. Materialized scratch
+// is uninitialised: every caller writes each byte before anything reads it.
 Tensor scratch_like(const Tensor& like, std::int64_t numel) {
-  if (like.materialized()) return Tensor::zeros({numel}, like.dtype(), like.device());
+  if (like.materialized()) return Tensor::empty({numel}, like.dtype(), like.device());
   return Tensor::phantom({numel}, like.dtype(), like.device());
 }
 
@@ -85,6 +86,9 @@ std::vector<ChainPhase> hier_phases(const LaunchContext& ctx, const CompositeSpe
 // Ring-style decomposition: reduce-scatter the zero-padded payload, then
 // allgather the reduced blocks; the finalize closure slices the unpadded
 // prefix back. Padding copies are data movement only — no virtual time.
+// Only padded_in's tail is zeroed: its prefix is the payload copy, the
+// reduce-scatter writes all of block_out, and the allgather all of
+// padded_out, before either is read.
 std::vector<ChainPhase> rsag_phases(const LaunchContext& ctx, const CompositeSpec& spec,
                                     int rank, const std::vector<int>& members, Tensor tensor,
                                     ReduceOp rop, std::uint64_t epoch,
@@ -96,6 +100,7 @@ std::vector<ChainPhase> rsag_phases(const LaunchContext& ctx, const CompositeSpe
   Tensor block_out = scratch_like(tensor, block);
   Tensor padded_out = scratch_like(tensor, block * n);
   padded_in.view(0, numel).copy_from(tensor);
+  padded_in.view(numel, block * n - numel).fill(0.0);
 
   std::vector<ChainPhase> phases;
   phases.push_back([&ctx, spec, rank, members, block_out, padded_in, rop, epoch] {
@@ -139,8 +144,7 @@ std::shared_ptr<ChainWork> launch_chunk(const LaunchContext& ctx, const Composit
     // pristine restore. Success publishes once, in the finalize under the
     // chain lock — the same contract as rsag's slice-back copy. The copies
     // are data movement only (no virtual time), so timings are unchanged.
-    Tensor work = scratch_like(slice, slice.numel());
-    work.copy_from(slice);
+    Tensor work = slice.clone();
     phases = hier_phases(ctx, spec, rank, part, work, rop, epoch);
     finalize = [slice, work]() mutable { slice.copy_from(work); };
   } else {
@@ -214,8 +218,7 @@ Work launch(const LaunchContext& ctx, const CompositeSpec& spec, int rank,
   std::function<void()> restore;
   Tensor payload = tensor;  // non-const handle onto the same storage
   if (tensor.materialized() && chunks > 1) {
-    Tensor pristine = scratch_like(tensor, numel);
-    pristine.copy_from(tensor);
+    Tensor pristine = tensor.clone();
     restore = [payload, pristine]() mutable { payload.copy_from(pristine); };
   }
   std::function<void()> recover;

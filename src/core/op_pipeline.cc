@@ -448,12 +448,13 @@ class RouteStage : public OpStage {
     }
 
     // Preference order: the resolved backend first, then init() order. All
-    // ranks derive the identical order, and health is per-rank, driven only
-    // by the fault verdicts this rank has observed — which are identical
-    // across ranks at the same logical op (one stored verdict per
-    // rendezvous). Every rank therefore walks the same retry/re-route
-    // sequence for the same op, at its own pace, and collectives stay
-    // aligned across retries and failover even with stragglers in flight.
+    // ranks derive the identical order, and health is per rank and
+    // communicator, driven only by the fault verdicts this rank has
+    // observed on it — which are identical across its members at the same
+    // logical op (one stored verdict per rendezvous). Every member therefore
+    // walks the same retry/re-route sequence for the same op, at its own
+    // pace, and collectives stay aligned across retries and failover even
+    // with stragglers in flight.
     std::vector<std::string> order;
     order.push_back(c.requested);
     for (const auto& name : c.ctx->get_backends()) {
@@ -466,11 +467,12 @@ class RouteStage : public OpStage {
     // probe itself. Collectives only: every rank issues the same collective
     // sequence, so the skip counts — and the resulting probe op — line up
     // across ranks, which rank-asymmetric p2p traffic would break.
+    const fault::BreakerScope scope = breaker_scope(c);
     if (c.req.op != OpType::Send && c.req.op != OpType::Recv) {
-      router->age_breaker(c.requested, c.rank);
+      router->age_breaker(c.requested, c.rank, scope);
     }
 
-    std::string current = router->select(c.requested, order, c.rank);
+    std::string current = router->select(c.requested, order, c.rank, scope);
     if (current != c.requested) {
       c.rerouted = true;
       c.fault = "unavailable";
@@ -487,15 +489,15 @@ class RouteStage : public OpStage {
       c.attempt_backend = c.ctx->backend(current);
       try {
         Work w = next();
-        router->record_success(current, c.rank);
+        router->record_success(current, c.rank, scope);
         router->note_success();
         c.completed_on = current;
         return w;
       } catch (const TransientFault& tf) {
         c.fault = "transient";
-        router->record_failure(current, c.rank);
+        router->record_failure(current, c.rank, scope);
         if (attempts_on_current < router->retry().max_attempts &&
-            router->healthy(current, c.rank)) {
+            router->healthy(current, c.rank, scope)) {
           // Rank-keyed overload decorrelates retry storms when jitter is
           // enabled; with jitter_seed == 0 (default) it is the plain schedule.
           const SimTime backoff = router->retry().backoff(attempts_on_current, c.rank);
@@ -508,7 +510,7 @@ class RouteStage : public OpStage {
         // otherwise surface the original fault as the operation's failure.
         std::string failed_backend = current;
         try {
-          current = router->next_healthy(current, order, c.rank);
+          current = router->next_healthy(current, order, c.rank, scope);
         } catch (const BackendUnavailable&) {
           router->note_failure(failed_backend);
           metrics.counter("failover_failures", {{"backend", failed_backend}}).inc();
@@ -520,10 +522,10 @@ class RouteStage : public OpStage {
         attempts_on_current = 0;
       } catch (const BackendUnavailable&) {
         c.fault = "unavailable";
-        router->record_failure(current, c.rank);
+        router->record_failure(current, c.rank, scope);
         std::string next_backend;
         try {
-          next_backend = router->next_healthy(current, order, c.rank);
+          next_backend = router->next_healthy(current, order, c.rank, scope);
         } catch (const BackendUnavailable&) {
           router->note_failure(current);
           metrics.counter("failover_failures", {{"backend", current}}).inc();
@@ -537,12 +539,26 @@ class RouteStage : public OpStage {
       } catch (const TimeoutError&) {
         // A watchdog timeout means peers are wedged mid-collective; re-routing
         // one rank alone cannot realign the group, so it is always fatal.
-        router->record_failure(current, c.rank);
+        router->record_failure(current, c.rank, scope);
         router->note_failure(current);
         metrics.counter("failover_failures", {{"backend", current}}).inc();
         throw;
       }
     }
+  }
+
+ private:
+  // The communicator whose verdicts drive this op's breakers: its members,
+  // or empty for the whole live world (so world ops keep one entry across
+  // an elastic shrink). Each member sees the same verdict for every
+  // rendezvous of its communicator; verdicts of a subgroup, such as one
+  // node's leg of a composite, must not steer the same ranks' world ops.
+  static fault::BreakerScope breaker_scope(const OpCall& c) {
+    const fault::RecoveryManager& rec = c.ctx->cluster()->faults().recovery();
+    const std::size_t live = rec.armed() ? rec.survivors().size()
+                                         : static_cast<std::size_t>(c.ctx->cluster()->world_size());
+    if (c.group.empty() || c.group.size() == live) return {};
+    return c.group;
   }
 };
 

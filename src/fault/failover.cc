@@ -49,25 +49,28 @@ FailoverRouter::FailoverRouter(FaultInjector* injector, RetryPolicy retry, Break
                                bool failover_enabled)
     : injector_(injector), retry_(retry), breaker_(breaker), failover_(failover_enabled) {}
 
-bool FailoverRouter::healthy(const std::string& backend, int rank) const {
-  return breaker_.healthy(backend, rank);
+bool FailoverRouter::healthy(const std::string& backend, int rank,
+                             const BreakerScope& scope) const {
+  return breaker_.healthy(backend, rank, scope);
 }
 
 std::string FailoverRouter::select(const std::string& preferred,
-                                   const std::vector<std::string>& order, int rank) const {
-  if (healthy(preferred, rank)) return preferred;
+                                   const std::vector<std::string>& order, int rank,
+                                   const BreakerScope& scope) const {
+  if (healthy(preferred, rank, scope)) return preferred;
   if (!failover_) {
     throw BackendUnavailable("backend '" + preferred +
                              "' is out of service and failover is disabled");
   }
   for (const std::string& candidate : order) {
-    if (candidate != preferred && healthy(candidate, rank)) return candidate;
+    if (candidate != preferred && healthy(candidate, rank, scope)) return candidate;
   }
   throw BackendUnavailable("no healthy backend available (preferred '" + preferred + "')");
 }
 
 std::string FailoverRouter::next_healthy(const std::string& failed,
-                                         const std::vector<std::string>& order, int rank) const {
+                                         const std::vector<std::string>& order, int rank,
+                                         const BreakerScope& scope) const {
   if (!failover_) {
     throw BackendUnavailable("backend '" + failed + "' failed and failover is disabled");
   }
@@ -79,17 +82,19 @@ std::string FailoverRouter::next_healthy(const std::string& failed,
   const std::size_t start = it == order.end() ? 0 : (it - order.begin()) + 1;
   for (std::size_t i = 0; i < order.size(); ++i) {
     const std::string& candidate = order[(start + i) % order.size()];
-    if (candidate != failed && healthy(candidate, rank)) return candidate;
+    if (candidate != failed && healthy(candidate, rank, scope)) return candidate;
   }
   throw BackendUnavailable("no healthy backend to fail over to (failed '" + failed + "')");
 }
 
-void FailoverRouter::record_success(const std::string& backend, int rank) {
-  breaker_.record_success(backend, rank);
+void FailoverRouter::record_success(const std::string& backend, int rank,
+                                    const BreakerScope& scope) {
+  breaker_.record_success(backend, rank, scope);
 }
 
-bool FailoverRouter::record_failure(const std::string& backend, int rank) {
-  const bool tripped = breaker_.record_failure(backend, rank);
+bool FailoverRouter::record_failure(const std::string& backend, int rank,
+                                    const BreakerScope& scope) {
+  const bool tripped = breaker_.record_failure(backend, rank, scope);
   // Every rank trips its own breaker (health is per-rank so routing stays
   // sequence-aligned), but the report counts each backend's loss once —
   // re-trips after a failed half-open probe included.
@@ -133,8 +138,9 @@ void FailoverRouter::update_report(const std::function<void(ResilienceReport&)>&
   fn(report_);
 }
 
-void FailoverRouter::age_breaker(const std::string& backend, int rank) {
-  breaker_.note_skipped(backend, rank);
+void FailoverRouter::age_breaker(const std::string& backend, int rank,
+                                 const BreakerScope& scope) {
+  breaker_.note_skipped(backend, rank, scope);
 }
 
 }  // namespace mcrdl::fault

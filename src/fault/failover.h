@@ -101,14 +101,17 @@ class FailoverRouter {
   // rank sees at the same logical operation. Routing off live injector
   // time would let ranks at different virtual times — stragglers — make
   // different decisions for the same op and desync sequence numbers.
-  bool healthy(const std::string& backend, int rank) const;
+  //
+  // `scope` names the communicator the op runs on (BreakerScope: empty for
+  // the world); every breaker call of one op passes the same scope.
+  bool healthy(const std::string& backend, int rank, const BreakerScope& scope = {}) const;
 
   // Picks the backend `rank` issues on: `preferred` when healthy, otherwise
   // the first healthy entry of `order`. Throws BackendUnavailable when
   // nothing is healthy (or when failover is disabled and `preferred` is
   // down).
   std::string select(const std::string& preferred, const std::vector<std::string>& order,
-                     int rank) const;
+                     int rank, const BreakerScope& scope = {}) const;
 
   // After `failed` errored out for `rank`: the next healthy backend
   // strictly after it in `order` (entries before `failed` were already
@@ -116,18 +119,18 @@ class FailoverRouter {
   // then static order). Throws BackendUnavailable when no healthy
   // candidate remains.
   std::string next_healthy(const std::string& failed, const std::vector<std::string>& order,
-                           int rank) const;
+                           int rank, const BreakerScope& scope = {}) const;
 
-  void record_success(const std::string& backend, int rank);
+  void record_success(const std::string& backend, int rank, const BreakerScope& scope = {});
   // Returns true if this failure tripped the backend's breaker.
-  bool record_failure(const std::string& backend, int rank);
+  bool record_failure(const std::string& backend, int rank, const BreakerScope& scope = {});
 
   // An op preferring `backend` is about to route: ages the breaker toward
   // its half-open probe when the backend is open (see CircuitBreaker::
   // note_skipped). Called by the route stage for collectives only — p2p
   // traffic is rank-asymmetric, and aging on it would desync the skip
   // counts that keep probes aligned across ranks.
-  void age_breaker(const std::string& backend, int rank);
+  void age_breaker(const std::string& backend, int rank, const BreakerScope& scope = {});
 
   const RetryPolicy& retry() const { return retry_; }
   bool failover_enabled() const { return failover_; }

@@ -40,8 +40,21 @@ void CircuitBreaker::transition(const std::string& backend, int rank, Entry& ent
   if (hook_) hook_(backend, rank, to);
 }
 
-bool CircuitBreaker::record_failure(const std::string& backend, int rank) {
-  Entry& entry = entries_[{backend, rank}];
+const CircuitBreaker::Entry* CircuitBreaker::find(const std::string& backend, int rank,
+                                                   const BreakerScope& scope) const {
+  auto it = entries_.find(std::tie(backend, rank, scope));
+  return it == entries_.end() ? nullptr : &it->second;
+}
+
+CircuitBreaker::Entry* CircuitBreaker::find(const std::string& backend, int rank,
+                                            const BreakerScope& scope) {
+  auto it = entries_.find(std::tie(backend, rank, scope));
+  return it == entries_.end() ? nullptr : &it->second;
+}
+
+bool CircuitBreaker::record_failure(const std::string& backend, int rank,
+                                    const BreakerScope& scope) {
+  Entry& entry = entries_[Key{backend, rank, scope}];
   ++entry.failures;
   switch (entry.state) {
     case BreakerState::Closed:
@@ -64,10 +77,11 @@ bool CircuitBreaker::record_failure(const std::string& backend, int rank) {
   return false;
 }
 
-void CircuitBreaker::record_success(const std::string& backend, int rank) {
-  auto it = entries_.find({backend, rank});
-  if (it == entries_.end()) return;
-  Entry& entry = it->second;
+void CircuitBreaker::record_success(const std::string& backend, int rank,
+                                    const BreakerScope& scope) {
+  Entry* found = find(backend, rank, scope);
+  if (found == nullptr) return;
+  Entry& entry = *found;
   switch (entry.state) {
     case BreakerState::Closed:
       entry.failures = 0;
@@ -87,11 +101,12 @@ void CircuitBreaker::record_success(const std::string& backend, int rank) {
   }
 }
 
-void CircuitBreaker::note_skipped(const std::string& backend, int rank) {
-  auto it = entries_.find({backend, rank});
-  if (it == entries_.end() || it->second.state != BreakerState::Open) return;
+void CircuitBreaker::note_skipped(const std::string& backend, int rank,
+                                  const BreakerScope& scope) {
+  Entry* found = find(backend, rank, scope);
+  if (found == nullptr || found->state != BreakerState::Open) return;
   if (config_.probe_after_ops <= 0) return;
-  Entry& entry = it->second;
+  Entry& entry = *found;
   if (++entry.skipped >= config_.probe_after_ops) {
     entry.skipped = 0;
     entry.successes = 0;
@@ -99,27 +114,31 @@ void CircuitBreaker::note_skipped(const std::string& backend, int rank) {
   }
 }
 
-bool CircuitBreaker::allow_probe(const std::string& backend, int rank) {
-  auto it = entries_.find({backend, rank});
-  if (it == entries_.end() || it->second.state != BreakerState::Open) return false;
-  it->second.skipped = 0;
-  it->second.successes = 0;
-  transition(backend, rank, it->second, BreakerState::HalfOpen);
+bool CircuitBreaker::allow_probe(const std::string& backend, int rank,
+                                 const BreakerScope& scope) {
+  Entry* entry = find(backend, rank, scope);
+  if (entry == nullptr || entry->state != BreakerState::Open) return false;
+  entry->skipped = 0;
+  entry->successes = 0;
+  transition(backend, rank, *entry, BreakerState::HalfOpen);
   return true;
 }
 
-bool CircuitBreaker::healthy(const std::string& backend, int rank) const {
-  return state(backend, rank) != BreakerState::Open;
+bool CircuitBreaker::healthy(const std::string& backend, int rank,
+                             const BreakerScope& scope) const {
+  return state(backend, rank, scope) != BreakerState::Open;
 }
 
-BreakerState CircuitBreaker::state(const std::string& backend, int rank) const {
-  auto it = entries_.find({backend, rank});
-  return it == entries_.end() ? BreakerState::Closed : it->second.state;
+BreakerState CircuitBreaker::state(const std::string& backend, int rank,
+                                   const BreakerScope& scope) const {
+  const Entry* entry = find(backend, rank, scope);
+  return entry == nullptr ? BreakerState::Closed : entry->state;
 }
 
-int CircuitBreaker::consecutive_failures(const std::string& backend, int rank) const {
-  auto it = entries_.find({backend, rank});
-  return it == entries_.end() ? 0 : it->second.failures;
+int CircuitBreaker::consecutive_failures(const std::string& backend, int rank,
+                                         const BreakerScope& scope) const {
+  const Entry* entry = find(backend, rank, scope);
+  return entry == nullptr ? 0 : entry->failures;
 }
 
 }  // namespace mcrdl::fault

@@ -7,7 +7,7 @@
 //     TransientFault. Backoff is charged to virtual time by the caller
 //     (the route stage sleeps on the scheduler), so retries are visible in
 //     the simulated timeline exactly like they would be on a wall clock.
-//   * CircuitBreaker — a per-(backend, rank) three-state machine:
+//   * CircuitBreaker — a per-(backend, rank, scope) three-state machine:
 //
 //         Closed ──threshold consecutive failures──▶ Open
 //         Open ──probe_after_ops denied routes / allow_probe()──▶ HalfOpen
@@ -30,13 +30,23 @@
 //     therefore the Open→HalfOpen transition — line up across ranks, while
 //     a wall-clock cooldown would let a straggler probe a different
 //     logical op than its peers and desync sequences.
+//
+//     "Identical across ranks" holds per communicator, so every entry also
+//     carries a scope: the communicator's member list, empty for the world.
+//     A subgroup's verdicts (one node's intra-node leg of a composite
+//     allreduce, say) reach only that subgroup's breakers. Sharing one
+//     entry per (backend, rank) let three failed attempts on one node open
+//     the backend for that node's ranks alone, and the next world op on it
+//     split the world across two backends: a virtual-time deadlock.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "src/common/units.h"
 
@@ -92,7 +102,11 @@ struct BreakerConfig {
 using BreakerTransitionHook =
     std::function<void(const std::string& backend, int rank, BreakerState to)>;
 
-// Per-(backend, rank) three-state breaker. Deterministic and
+// The communicator a breaker entry belongs to: its global member ranks, or
+// empty for the world.
+using BreakerScope = std::vector<int>;
+
+// Per-(backend, rank, scope) three-state breaker. Deterministic and
 // allocation-light; shared by every rank of a cluster (the simulator is
 // single-batoned, so no locking is needed beyond the scheduler's own
 // serialisation).
@@ -104,29 +118,31 @@ class CircuitBreaker {
   // Records one failed attempt by `rank` on `backend`. Returns true if this
   // failure tripped the breaker (Closed reaching the threshold, or a failed
   // half-open probe re-opening it).
-  bool record_failure(const std::string& backend, int rank);
+  bool record_failure(const std::string& backend, int rank, const BreakerScope& scope = {});
   // A successful attempt: resets the consecutive-failure count when Closed;
   // when HalfOpen, counts toward `cooldown` and closes the breaker once
   // enough consecutive probes succeeded.
-  void record_success(const std::string& backend, int rank);
+  void record_success(const std::string& backend, int rank, const BreakerScope& scope = {});
 
   // An operation preferring `backend` was routed elsewhere while the
   // breaker was open. After `probe_after_ops` such denials the breaker
   // moves to HalfOpen, so the next preferring op becomes the probe. No-op
   // unless Open.
-  void note_skipped(const std::string& backend, int rank);
+  void note_skipped(const std::string& backend, int rank, const BreakerScope& scope = {});
   // Explicit Open -> HalfOpen transition; returns false (and does nothing)
   // unless the breaker is currently Open.
-  bool allow_probe(const std::string& backend, int rank);
+  bool allow_probe(const std::string& backend, int rank, const BreakerScope& scope = {});
 
   // True unless Open: half-open breakers admit traffic (the probe).
-  bool healthy(const std::string& backend, int rank) const;
-  BreakerState state(const std::string& backend, int rank) const;
+  bool healthy(const std::string& backend, int rank, const BreakerScope& scope = {}) const;
+  BreakerState state(const std::string& backend, int rank, const BreakerScope& scope = {}) const;
 
   int threshold() const { return config_.threshold; }
   const BreakerConfig& config() const { return config_; }
-  // Consecutive failures recorded for (backend, rank); for introspection.
-  int consecutive_failures(const std::string& backend, int rank) const;
+  // Consecutive failures recorded for (backend, rank, scope); for
+  // introspection.
+  int consecutive_failures(const std::string& backend, int rank,
+                           const BreakerScope& scope = {}) const;
 
   void set_transition_hook(BreakerTransitionHook hook) { hook_ = std::move(hook); }
 
@@ -138,10 +154,16 @@ class CircuitBreaker {
     int successes = 0;  // consecutive half-open probe successes
   };
 
+  using Key = std::tuple<std::string, int, BreakerScope>;
+
   void transition(const std::string& backend, int rank, Entry& entry, BreakerState to);
+  const Entry* find(const std::string& backend, int rank, const BreakerScope& scope) const;
+  Entry* find(const std::string& backend, int rank, const BreakerScope& scope);
 
   BreakerConfig config_;
-  std::map<std::pair<std::string, int>, Entry> entries_;
+  // Transparent comparator: lookups compare against a tuple of references
+  // instead of copying the scope into a key.
+  std::map<Key, Entry, std::less<>> entries_;
   BreakerTransitionHook hook_;
 };
 

@@ -13,10 +13,17 @@
 // Views (1-D slices sharing storage) support fusion slice-back and
 // reduce-scatter outputs. Element accessors convert through double, which is
 // exact for every supported dtype's value range used in tests.
+//
+// Bulk operations (fill, reductions, scale, allclose, to_vector and the
+// arange/random_uniform factories) switch on the dtype once per call and
+// then run a typed loop over raw storage; every element still goes through
+// double and is narrowed back exactly as set() would narrow it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,7 +44,11 @@ class Tensor {
   Tensor() = default;
 
   // --- factories -----------------------------------------------------------
+  // Zero-filled (calloc: fresh pages from the OS are not cleared again).
   static Tensor zeros(std::vector<std::int64_t> shape, DType dtype, sim::Device* device);
+  // Uninitialised storage, for scratch the caller writes in full before
+  // anything reads it (clone(), composite working copies).
+  static Tensor empty(std::vector<std::int64_t> shape, DType dtype, sim::Device* device);
   static Tensor full(std::vector<std::int64_t> shape, DType dtype, double value,
                      sim::Device* device);
   // [0, 1, 2, ...); handy for alltoall/gather correctness checks.
@@ -64,7 +75,8 @@ class Tensor {
   // --- bulk operations -------------------------------------------------------
   // 1-D view over [offset, offset+count) elements, sharing storage.
   Tensor view(std::int64_t offset_elems, std::int64_t count) const;
-  // Deep copy (phantom clones stay phantom).
+  // Deep copy (phantom clones stay phantom): empty() storage, then one
+  // memcpy.
   Tensor clone() const;
   // Elementwise copy; shapes may differ but numel and dtype must match.
   // No-op if either side is phantom.
@@ -72,8 +84,11 @@ class Tensor {
   void fill(double v);
   // this[i] = this[i] OP other[i]; Avg accumulates as Sum (callers divide
   // with scale() at the end, as the backends do). No-op if either side is
-  // phantom.
+  // phantom. A thin caller of reduce_n(): `other` may be `*this` or a view
+  // of the same storage; one that overlaps `this` at a different offset is
+  // read as it was before the call.
   void reduce_inplace(const Tensor& other, ReduceOp op);
+  // this[i] = this[i] * factor, through reduce_n()'s scale step.
   void scale(double factor);
 
   bool allclose(const Tensor& other, double atol = 1e-6, double rtol = 1e-5) const;
@@ -85,12 +100,19 @@ class Tensor {
   std::string describe() const;
 
  private:
+  // One malloc/calloc'd buffer; the zero-fill is chosen per factory.
   struct Storage {
-    std::vector<std::byte> data;
+    Storage(std::size_t bytes, bool zeroed);
+    ~Storage();
+    Storage(const Storage&) = delete;
+    Storage& operator=(const Storage&) = delete;
+    std::byte* data;
   };
 
   Tensor(std::shared_ptr<Storage> storage, std::int64_t offset_elems,
          std::vector<std::int64_t> shape, DType dtype, sim::Device* device);
+  static Tensor allocate(std::vector<std::int64_t> shape, DType dtype, sim::Device* device,
+                         bool zeroed);
 
   void require_materialized(const char* what) const;
 
@@ -103,6 +125,36 @@ class Tensor {
 };
 
 using TensorList = std::vector<Tensor>;
+
+// One output of reduce_n(): `dst` receives elements
+// [offset, offset + dst.numel()) of the reduction.
+struct ReduceTarget {
+  Tensor dst;
+  std::int64_t offset = 0;
+};
+
+// The one bulk reduction kernel: AllReduce, Reduce and ReduceScatter in the
+// collective engine, reduce_inplace() and scale() all run through it.
+//
+// Walks the reduction in cache-sized blocks. Each block copies the first
+// input's bytes into a block-local accumulator, folds every further input
+// into it in list order (element through double, combined, narrowed back to
+// the dtype after every step, so the result is bit-identical to a chain of
+// pairwise reduce_inplace calls), multiplies by `scale` when one is given
+// (Avg divides by the group size this way), and writes the block to every
+// target that covers it. Avg folds as Sum.
+//
+// Aliasing: an input that overlaps a target at a different offset is copied
+// once before the first block, so every input is read as it was before the
+// call; an input at the same offset as a target (in-place AllReduce) is read
+// block by block before that block is written. Targets that overlap each
+// other at different offsets are written whole, in list order (the later
+// target wins), as one block.
+//
+// Every input and target must be materialised with the same dtype; inputs
+// must share one numel.
+void reduce_n(std::span<const Tensor* const> inputs, ReduceOp op, std::optional<double> scale,
+              std::span<const ReduceTarget> targets);
 
 // Total payload bytes of a tensor list (the fusion and alltoall paths).
 std::size_t total_bytes(const TensorList& tensors);

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/mcr_dl.h"
@@ -208,6 +209,111 @@ TEST_F(CompositeTest, AutoWithTunerArmsConvergesToAComposite) {
   }
   EXPECT_TRUE(composite_incumbent)
       << "online tuner did not converge to a composite arm for large allreduces";
+}
+
+// --- scratch buffers -----------------------------------------------------
+//
+// The composites' private scratch (hier's working copy, rsag's block_out and
+// padded_out, the chunked launch's pristine copy) is allocated
+// uninitialised; only rsag's padding tail is zeroed. A length no group size
+// divides, with per-element distinct values, shows any byte that is read
+// before it is written.
+
+// Rank r's element i: small integers, so every partial sum is exact in F32
+// whatever the reduction order.
+double pattern(int rank, std::int64_t i) { return (rank + 1) * static_cast<double>(i % 5 - 2); }
+
+class CompositeScratchTest
+    : public CompositeTest,
+      public ::testing::WithParamInterface<std::tuple<const char*, bool>> {};
+
+TEST_P(CompositeScratchTest, NonDivisibleLengthEqualsHostSum) {
+  const auto [algo, overlap] = GetParam();
+  McrDlOptions opts = coll_opts();
+  opts.coll.overlap = overlap;  // chunked: four chunk chains per composite
+  make(2, opts);
+  mcr_->init({"nccl", "mv2-gdr"});
+  constexpr std::int64_t kNumel = 1003;  // not a multiple of 8 ranks, 4 per node, or 4 chunks
+  std::vector<int> bad(static_cast<std::size_t>(world()), -1);
+  cluster_->run_spmd([&](int rank) {
+    Api api = mcr_->on(rank);
+    Tensor t = Tensor::empty({kNumel}, DType::F32, cluster_->device(rank));
+    for (std::int64_t i = 0; i < kNumel; ++i) t.set(i, pattern(rank, i));
+    api.all_reduce(algo, t, ReduceOp::Sum);
+    api.synchronize();
+    for (std::int64_t i = 0; i < kNumel; ++i) {
+      double want = 0.0;
+      for (int r = 0; r < world(); ++r) want += pattern(r, i);
+      if (t.get(i) != want) {
+        bad[static_cast<std::size_t>(rank)] = static_cast<int>(i);
+        break;
+      }
+    }
+  });
+  for (int r = 0; r < world(); ++r) {
+    EXPECT_EQ(bad[static_cast<std::size_t>(r)], -1) << "rank " << r << " first wrong element";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algos, CompositeScratchTest,
+    ::testing::Combine(::testing::Values("hier:nccl+mv2-gdr", "rsag:mv2-gdr"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<const char*, bool>>& info) {
+      const std::string algo = std::get<0>(info.param);
+      return std::string(algo.rfind("hier", 0) == 0 ? "hier" : "rsag") +
+             (std::get<1>(info.param) ? "_chunked" : "_unchunked");
+    });
+
+// --- breaker scope ----------------------------------------------------------
+//
+// A composite's legs run on subgroups: each node reduces and broadcasts on
+// its own intra-node communicator. Transient faults that exhaust one node's
+// retries on a leg open the backend's breaker for that node's ranks only. A
+// breaker shared with world ops would reroute just those ranks on the next
+// world op on the same backend (here rsag's world reduce-scatter on nccl)
+// while the other node stayed on nccl: a virtual-time deadlock. Breakers are
+// therefore kept per communicator, and the world op must stay aligned.
+void run_hier_then_rsag(ClusterContext& cluster, McrDl& mcr, int iters) {
+  cluster.run_spmd([&](int rank) {
+    Api api = mcr.on(rank);
+    const int world = cluster.world_size();
+    for (int i = 0; i < iters; ++i) {
+      for (const char* algo : {"hier:nccl+mv2-gdr", "rsag"}) {
+        Tensor t = Tensor::full({64}, DType::F32, static_cast<double>(rank + 1),
+                                cluster.device(rank));
+        api.all_reduce(algo, t, ReduceOp::Sum);
+        api.synchronize();
+        EXPECT_EQ(t.get(63), world * (world + 1) / 2.0) << algo << " iteration " << i;
+      }
+    }
+  });
+}
+
+TEST_F(CompositeTest, LegFaultsOnOneNodeDoNotSplitLaterWorldOps) {
+  McrDlOptions opts = coll_opts();
+  opts.fault.enabled = true;
+  opts.fault.plan.seed = 3;
+  // Only the hier legs' intra-node broadcasts fail; rsag's world legs never do.
+  opts.fault.plan.specs.push_back(fault::FaultSpec::transient_op("nccl", OpType::Broadcast, 0.5));
+  make(2, opts);
+  mcr_->init({"nccl", "mv2-gdr"});
+  run_hier_then_rsag(*cluster_, *mcr_, /*iters=*/8);
+  EXPECT_GT(mcr_->failover()->report().breakers_tripped, 0u);
+  // Nothing failed on a world communicator, so no rank's world breaker moved.
+  for (int r = 0; r < world(); ++r) EXPECT_TRUE(mcr_->failover()->healthy("nccl", r));
+}
+
+TEST_F(CompositeTest, LegFaultsWithAStragglerDoNotSplitLaterWorldOps) {
+  McrDlOptions opts = coll_opts();
+  opts.fault.enabled = true;
+  opts.fault.plan.seed = 3;
+  opts.fault.plan.specs.push_back(fault::FaultSpec::transient_op("nccl", OpType::Reduce, 0.5));
+  opts.fault.plan.specs.push_back(fault::FaultSpec::straggler(5, 200.0));
+  make(2, opts);
+  mcr_->init({"nccl", "mv2-gdr"});
+  run_hier_then_rsag(*cluster_, *mcr_, /*iters=*/8);
+  EXPECT_GT(mcr_->failover()->report().breakers_tripped, 0u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/mcr_dl.h"
@@ -263,6 +264,65 @@ TEST_P(ElasticCollTest, ShrinkMidOverlappedRsagSurvivorsAgree) {
   EXPECT_TRUE(run.died[1]);
   check_survivor_value(run, cluster_->world_size(), 6);
   EXPECT_EQ(mcr_->recovery().stats().epochs, 1u);
+}
+
+// The chunked launch's pristine copy and the per-chunk working copies
+// (hier's clone, rsag's block_out and padded_out) are uninitialised scratch
+// (Tensor::empty). A loss after some chunks completed must still rewind the
+// caller's exact bytes before the whole-tensor replay: with inputs distinct
+// per element and per rank, every survivor ends with exactly the survivors'
+// sum of the original inputs. `loss_frac` places the loss where completed
+// chunks have already published (hier's chunks finish later than rsag's).
+// Returns, per rank: -2 did not finish, -1 every element exact, else the
+// first wrong element.
+std::vector<std::int64_t> run_exact_restore(const sim::ExecutionConfig& engine, const char* algo,
+                                            double loss_frac) {
+  constexpr std::int64_t kNumel = (1 << 18) + 3;  // no chunk or group size divides it
+  const SimTime dur = measure_composite(algo, /*nodes=*/2, kNumel);
+  McrDlOptions opts;
+  opts.coll.enabled = true;
+  opts.coll.overlap = true;
+  opts.fault.enabled = true;
+  opts.fault.plan.specs.push_back(fault::FaultSpec::lose_rank(1, loss_frac * dur));
+  ClusterContext cluster(net::SystemConfig::lassen(2), engine);
+  McrDl mcr(&cluster, opts);
+  mcr.init({"mv2-gdr"});
+
+  const auto value = [](int rank, std::int64_t i) {
+    return (rank + 1) * static_cast<double>(i % 13 - 6);
+  };
+  const int world = cluster.world_size();
+  std::vector<std::int64_t> first_wrong(static_cast<std::size_t>(world), -2);
+  cluster.run_spmd([&](int rank) {
+    Api api = mcr.on(rank);
+    Tensor t = Tensor::empty({kNumel}, DType::F32, cluster.device(rank));
+    for (std::int64_t i = 0; i < kNumel; ++i) t.set(i, value(rank, i));
+    try {
+      api.all_reduce(algo, t, ReduceOp::Sum);
+    } catch (const RankLostError&) {
+      return;
+    }
+    api.synchronize();
+    std::int64_t wrong = -1;
+    for (std::int64_t i = 0; i < kNumel && wrong < 0; ++i) {
+      double want = 0.0;
+      for (int r = 0; r < world; ++r) want += r == 1 ? 0.0 : value(r, i);
+      if (t.get(i) != want) wrong = i;
+    }
+    first_wrong[static_cast<std::size_t>(rank)] = wrong;
+  });
+  EXPECT_GT(mcr.recovery().stats().recovered_ops, 0u);
+  return first_wrong;
+}
+
+TEST_P(ElasticCollTest, ShrinkMidOverlappedCompositeRestoresExactBytes) {
+  for (const auto& [algo, frac] : {std::pair<const char*, double>{kAlgo, 0.8},
+                                   std::pair<const char*, double>{"rsag:mv2-gdr", 0.6}}) {
+    const std::vector<std::int64_t> first_wrong = run_exact_restore(GetParam(), algo, frac);
+    for (std::size_t r = 0; r < first_wrong.size(); ++r) {
+      EXPECT_EQ(first_wrong[r], r == 1 ? -2 : -1) << algo << " rank " << r;
+    }
+  }
 }
 
 TEST_P(ElasticCollTest, ShrinkThenRejoinAcrossComposites) {

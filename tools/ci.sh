@@ -213,15 +213,18 @@ echo "== bench_export smoke: hier perf trajectory =="
 timeout 600 "${build_dir}/tools/bench_export" --experiment hier --quick --out "${bench_dir}"
 "${build_dir}/tools/bench_export" --check "${bench_dir}/BENCH_hier.json"
 
-# Memory-check the dispatch hot path: rebuild the core, fault and coll suites
-# with -fsanitize=address and run them by label. Each stage's continuation
-# carries a pointer into its caller's stack frame (the exclusive-time
-# accumulator), exercised hardest by retries (fault) and by composite
-# sub-ops re-entering the pipeline (coll); the bucketing layer slices fused
-# buffers back through completion closures. Those are exactly the lifetime
-# games ASan catches (a dangling frame pointer, a leaked flush timer's
-# closure, a completion callback outliving its Work). Leak detection stays on.
-echo "== asan smoke: core/fault/coll suites under -fsanitize=address =="
+# Memory-check the dispatch hot path and the payload kernels: rebuild the
+# core, fault, coll, tensor and backends suites with -fsanitize=address and
+# run them by label. Each stage's continuation carries a pointer into its
+# caller's stack frame (the exclusive-time accumulator), exercised hardest by
+# retries (fault) and by composite sub-ops re-entering the pipeline (coll);
+# the bucketing layer slices fused buffers back through completion closures.
+# Those are exactly the lifetime games ASan catches (a dangling frame
+# pointer, a leaked flush timer's closure, a completion callback outliving
+# its Work). The tensor/backends suites drive the typed bulk kernels, which
+# index raw malloc'd storage by block, view offset and reduce-scatter range.
+# Leak detection stays on.
+echo "== asan smoke: core/fault/coll/tensor/backends suites under -fsanitize=address =="
 asan_dir="${build_dir}-asan"
 rm -rf "${asan_dir}"
 cmake -B "${asan_dir}" -S "${repo_root}" -DMCRDL_SANITIZE=address
@@ -232,8 +235,29 @@ cmake --build "${asan_dir}" -j "${jobs}" --target \
     core_process_groups_test core_composite_work_test \
     fault_injector_test fault_policy_test fault_failover_test fault_watchdog_test \
     fault_recovery_test fault_checkpoint_test fault_rejoin_test \
+    coll_spec_test coll_composite_test coll_overlap_test coll_elastic_test \
+    tensor_dtype_test tensor_tensor_test tensor_kernel_test tensor_collective_dtype_test \
+    backends_engine_test backends_one_pass_test backends_collectives_test \
+    backends_semantics_test backends_p2p_test backends_differential_test \
+    backends_failure_injection_test
+( cd "${asan_dir}" && ctest --output-on-failure -j "${jobs}" -L 'core|fault|coll|tensor|backends' )
+
+# Undefined-behaviour check of the payload data path: the typed kernels cast
+# raw storage to element pointers and narrow doubles into every dtype, and
+# the composites slice scratch by computed offsets. halt_on_error turns the
+# first report into a failing test instead of a log line.
+echo "== ubsan smoke: tensor/backends/coll suites under -fsanitize=undefined =="
+ubsan_dir="${build_dir}-ubsan"
+rm -rf "${ubsan_dir}"
+cmake -B "${ubsan_dir}" -S "${repo_root}" -DMCRDL_SANITIZE=undefined
+cmake --build "${ubsan_dir}" -j "${jobs}" --target \
+    tensor_dtype_test tensor_tensor_test tensor_kernel_test tensor_collective_dtype_test \
+    backends_engine_test backends_one_pass_test backends_collectives_test \
+    backends_semantics_test backends_p2p_test backends_differential_test \
+    backends_failure_injection_test \
     coll_spec_test coll_composite_test coll_overlap_test coll_elastic_test
-( cd "${asan_dir}" && ctest --output-on-failure -j "${jobs}" -L 'core|fault|coll' )
+( cd "${ubsan_dir}" && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --output-on-failure -j "${jobs}" -L 'tensor|backends|coll' )
 
 # Race-check the parallel engine for real: rebuild the sim/sched suites with
 # -fsanitize=thread and run them (the execution-model tests drive both
