@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <optional>
@@ -9,13 +11,17 @@
 #include <thread>
 
 #include "src/coll/spec.h"
+#include "src/common/format.h"
+#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/core/mcr_dl.h"
 #include "src/tune/online_tuner.h"
 #include "src/tune/tuning.h"
 #include "src/models/cnn3d.h"
 #include "src/models/dlrm.h"
+#include "src/models/megatron.h"
 #include "src/models/moe.h"
+#include "src/models/resnet.h"
 #include "src/models/workload.h"
 #include "src/net/cost.h"
 #include "src/net/topology.h"
@@ -30,18 +36,18 @@ const BenchSeries* BenchReport::find(const std::string& name) const {
   return nullptr;
 }
 
-const BenchPoint& BenchReport::at(const std::string& name, int world) const {
-  const BenchSeries* s = find(name);
-  if (s != nullptr) {
-    for (const auto& p : s->points) {
-      if (p.world == world) return p;
-    }
-  }
-  throw InvalidArgument("no bench point for series '" + name + "' at world " +
-                        std::to_string(world));
-}
-
 namespace {
+
+BenchPoint point(int world, std::size_t bytes, double virtual_us, double items_per_s = 0.0,
+                 std::map<std::string, double> values = {}) {
+  BenchPoint p;
+  p.world = world;
+  p.bytes = bytes;
+  p.virtual_us = virtual_us;
+  p.items_per_s = items_per_s;
+  p.values = std::move(values);
+  return p;
+}
 
 void append_number(std::ostringstream& out, double v) {
   std::ostringstream num;
@@ -70,12 +76,166 @@ std::string to_bench_json(const BenchReport& report) {
       append_number(out, p.virtual_us);
       out << ",\"items_per_s\":";
       append_number(out, p.items_per_s);
+      if (!p.values.empty()) {
+        out << ",\"values\":{";
+        bool first_value = true;
+        for (const auto& [name, value] : p.values) {
+          if (!first_value) out << ",";
+          first_value = false;
+          out << "\"" << obs::json_escape(name) << "\":";
+          append_number(out, value);
+        }
+        out << "}";
+      }
       out << "}";
     }
     out << "]}";
   }
   out << "]}";
   return out.str();
+}
+
+namespace {
+
+// The resilience rule "loss step > clean step". In a steps/* series the
+// first point whose world is smaller than the first point's is the step
+// that absorbed the loss; it must take longer than the clean step before it.
+void check_loss_step(const obs::JsonValue& series) {
+  const std::string rule = "resilience rule 'loss step > clean step' fails on " +
+                           series.at("name").str + ": ";
+  const auto& points = series.at("points").array;
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    if (points[i].at("world").number >= points[0].at("world").number) continue;
+    const double loss_us = points[i].at("virtual_us").number;
+    const double clean_us = points[i - 1].at("virtual_us").number;
+    if (loss_us > clean_us) return;
+    throw InvalidArgument(rule + "loss step " + std::to_string(i) + " took " +
+                          std::to_string(loss_us) + " us, the clean step before it " +
+                          std::to_string(clean_us) + " us");
+  }
+  throw InvalidArgument(rule + "no step completes on a smaller world");
+}
+
+}  // namespace
+
+void check_report(const obs::JsonValue& doc) {
+  if (doc.at("schema").str != kBenchSchema) {
+    throw InvalidArgument("unexpected schema tag: " + doc.at("schema").str);
+  }
+  const std::string experiment = doc.at("experiment").str;
+  const auto& series = doc.at("series");
+  if (!series.is_array() || series.array.empty()) {
+    throw InvalidArgument("bench file has no series");
+  }
+  bool has_increasing_bytes_sweep = false;
+  bool has_hotpath_speedup = false;
+  int loss_series = 0;
+  for (const auto& s : series.array) {
+    if (!s.at("name").is_string() || !s.at("backend").is_string()) {
+      throw InvalidArgument("series needs string name and backend");
+    }
+    const auto& points = s.at("points");
+    if (!points.is_array()) throw InvalidArgument("series.points must be an array");
+    double prev_bytes = -1.0;
+    bool increasing = points.array.size() >= 2;
+    for (const auto& p : points.array) {
+      for (const char* field : {"world", "bytes", "virtual_us", "items_per_s"}) {
+        if (!p.at(field).is_number()) {
+          throw InvalidArgument(std::string("point field is not a number: ") + field);
+        }
+      }
+      if (p.at("virtual_us").number < 0.0) throw InvalidArgument("negative virtual_us");
+      if (const obs::JsonValue* values = p.find("values")) {
+        if (!values->is_object()) throw InvalidArgument("point values must be an object");
+        for (const auto& [name, value] : values->object) {
+          if (!value.is_number() || !std::isfinite(value.number)) {
+            throw InvalidArgument("point value '" + name + "' is not a finite number");
+          }
+        }
+      }
+      if (p.at("bytes").number <= prev_bytes) increasing = false;
+      prev_bytes = p.at("bytes").number;
+      // The hotpath speedup series carries the bucketed/unbucketed
+      // wall-clock throughput ratio. Committed exports show >=4x; the CI
+      // gate is deliberately lenient (1.5x) so a loaded runner cannot flake
+      // it, while still catching bucketing that stopped amortizing dispatch.
+      if (experiment == "hotpath" && s.at("name").str == "speedup") {
+        if (p.at("items_per_s").number < 1.5) {
+          throw InvalidArgument("hotpath speedup dropped below 1.5x at bytes=" +
+                                std::to_string(p.at("bytes").number));
+        }
+        has_hotpath_speedup = true;
+      }
+    }
+    if (increasing) has_increasing_bytes_sweep = true;
+    if (experiment == "resilience" && s.at("name").str.rfind("steps/", 0) == 0) {
+      check_loss_step(s);
+      ++loss_series;
+    }
+  }
+  // Microbench exports must contain a real message-size sweep; a report
+  // with one point per series (or shuffled sizes) is a broken export.
+  if (experiment == "fig2" && !has_increasing_bytes_sweep) {
+    throw InvalidArgument(
+        "fig2 export has no series with >= 2 points of strictly increasing bytes");
+  }
+  if (experiment == "hotpath" && !has_hotpath_speedup) {
+    throw InvalidArgument("hotpath export has no populated speedup series");
+  }
+  if (experiment == "resilience" && loss_series == 0) {
+    throw InvalidArgument("resilience export has no steps/* series");
+  }
+  // Composite-collective contract (DESIGN.md §15). Two orderings make the
+  // experiment worth exporting, checked on whatever grid the file carries
+  // (full or --quick) so the CI gate and the committed export share a rule:
+  //   * algorithm — at every node count >= 2, the hierarchical allreduce
+  //     beats the flat single-backend choice at the largest swept message;
+  //   * schedule — on the 3D-CNN plan, hier+overlap beats the identical
+  //     hier plan without the overlap scheduler, at every model world.
+  if (experiment == "hier") {
+    auto last_virtual_us = [](const obs::JsonValue& s) {
+      return s.at("points").array.back().at("virtual_us").number;
+    };
+    int compared_nodes = 0;
+    int compared_worlds = 0;
+    for (const auto& flat : series.array) {
+      const std::string& name = flat.at("name").str;
+      const std::string prefix = "all_reduce/flat/n";
+      if (name.rfind(prefix, 0) != 0 || flat.at("points").array.empty()) continue;
+      const int nodes = std::atoi(name.c_str() + prefix.size());
+      if (nodes < 2) continue;
+      for (const auto& hier : series.array) {
+        if (hier.at("name").str != "all_reduce/hier/n" + std::to_string(nodes)) continue;
+        if (hier.at("points").array.empty()) continue;
+        if (last_virtual_us(hier) >= last_virtual_us(flat)) {
+          throw InvalidArgument("hier allreduce does not beat flat at n=" +
+                                std::to_string(nodes) + " for the largest message");
+        }
+        ++compared_nodes;
+      }
+    }
+    const obs::JsonValue* cnn_hier = nullptr;
+    const obs::JsonValue* cnn_overlap = nullptr;
+    for (const auto& s : series.array) {
+      if (s.at("name").str == "cnn3d/hier") cnn_hier = &s;
+      if (s.at("name").str == "cnn3d/hier+overlap") cnn_overlap = &s;
+    }
+    if (cnn_hier != nullptr && cnn_overlap != nullptr) {
+      for (const auto& hp : cnn_hier->at("points").array) {
+        for (const auto& op : cnn_overlap->at("points").array) {
+          if (op.at("world").number != hp.at("world").number) continue;
+          if (op.at("virtual_us").number >= hp.at("virtual_us").number) {
+            throw InvalidArgument("cnn3d hier+overlap does not beat hier at world=" +
+                                  std::to_string(static_cast<int>(hp.at("world").number)));
+          }
+          ++compared_worlds;
+        }
+      }
+    }
+    if (compared_nodes == 0 || compared_worlds == 0) {
+      throw InvalidArgument("hier export is missing its flat-vs-hier or cnn3d comparison");
+    }
+  }
 }
 
 // --- figure 2 ---------------------------------------------------------------
@@ -142,26 +302,50 @@ std::string plan_backend_label(const models::CommPlan& plan) {
   return plan.default_backend;
 }
 
+// One model-scaling figure: every plan at every scale, with MCR-DL-T's
+// tuning table generated at each scale from `tuning` (world_sizes set per
+// scale) for the ops and message range the model actually uses.
+struct ScalingSweep {
+  std::string experiment;
+  std::vector<int> scales;  // the figure's GPU counts
+  int warmup_steps;
+  int measured_steps;
+  int gpus_per_node;
+  net::SystemConfig (*make_system)(int);
+  std::vector<models::CommPlan> plans;
+  TuningConfig tuning;
+};
+
+TuningConfig model_tuning(std::vector<std::string> backends, std::vector<OpType> ops,
+                          std::vector<std::size_t> sizes) {
+  TuningConfig cfg;
+  cfg.backends = std::move(backends);
+  cfg.ops = std::move(ops);
+  cfg.sizes = std::move(sizes);
+  cfg.iterations = 1;
+  return cfg;
+}
+
+// The four plans Figures 8 and 9 compare.
+std::vector<models::CommPlan> paper_plans() {
+  return {models::CommPlan::pure("mv2-gdr", "Pure MVAPICH2-GDR"),
+          models::CommPlan::pure("nccl", "Pure NCCL"), models::CommPlan::mcr_dl_mixed(),
+          models::CommPlan::mcr_dl_tuned()};
+}
+
 template <typename MakeModel>
-BenchReport run_scaling(const std::string& experiment, const ScalingOptions& options,
-                        const std::vector<int>& default_scales, int default_warmup,
-                        int default_measured, int gpus_per_node,
-                        net::SystemConfig (*make_system)(int),
-                        const std::vector<std::size_t>& tuning_sizes, MakeModel make_model) {
+BenchReport run_scaling(const ScalingSweep& sweep, const ScalingOptions& options,
+                        MakeModel make_model) {
   ScalingOptions opts = options;
-  if (opts.scales.empty()) opts.scales = default_scales;
-  if (opts.warmup_steps < 0) opts.warmup_steps = default_warmup;
-  if (opts.measured_steps < 0) opts.measured_steps = default_measured;
+  if (opts.scales.empty()) opts.scales = sweep.scales;
+  if (opts.warmup_steps < 0) opts.warmup_steps = sweep.warmup_steps;
+  if (opts.measured_steps < 0) opts.measured_steps = sweep.measured_steps;
   if (opts.quick) {
     opts.scales.resize(std::min<std::size_t>(opts.scales.size(), 2));
     opts.warmup_steps = 0;
     opts.measured_steps = 1;
   }
-
-  const std::vector<models::CommPlan> plans = {
-      models::CommPlan::pure("mv2-gdr", "Pure MVAPICH2-GDR"),
-      models::CommPlan::pure("nccl", "Pure NCCL"), models::CommPlan::mcr_dl_mixed(),
-      models::CommPlan::mcr_dl_tuned()};
+  const std::vector<models::CommPlan>& plans = sweep.plans;
 
   models::HarnessOptions hopts;
   hopts.warmup_steps = opts.warmup_steps;
@@ -169,7 +353,7 @@ BenchReport run_scaling(const std::string& experiment, const ScalingOptions& opt
   hopts.execution = opts.execution;
 
   BenchReport report;
-  report.experiment = experiment;
+  report.experiment = sweep.experiment;
   for (const auto& plan : plans) {
     BenchSeries series;
     series.name = plan.name;
@@ -178,20 +362,14 @@ BenchReport run_scaling(const std::string& experiment, const ScalingOptions& opt
   }
 
   for (int gpus : opts.scales) {
-    MCRDL_REQUIRE(gpus % gpus_per_node == 0, "scale must fill whole nodes");
-    net::SystemConfig sys = make_system(gpus / gpus_per_node);
+    MCRDL_REQUIRE(gpus % sweep.gpus_per_node == 0, "scale must fill whole nodes");
+    net::SystemConfig sys = sweep.make_system(gpus / sweep.gpus_per_node);
     models::TrainingHarness harness(sys);
     auto model = make_model(sys);
 
-    // MCR-DL-T consumes a tuning table generated at this scale for the ops
-    // and message range the model actually uses.
     TuningSuite suite(sys);
-    TuningConfig tcfg;
-    tcfg.backends = {"nccl", "mv2-gdr"};
-    tcfg.ops = {OpType::AllReduce, OpType::AllToAllSingle, OpType::Barrier};
-    tcfg.sizes = tuning_sizes;
+    TuningConfig tcfg = sweep.tuning;
     tcfg.world_sizes = {gpus};
-    tcfg.iterations = 1;
     TuningTable table = suite.generate(tcfg);
 
     for (std::size_t i = 0; i < plans.size(); ++i) {
@@ -213,19 +391,463 @@ BenchReport run_scaling(const std::string& experiment, const ScalingOptions& opt
 
 BenchReport run_fig8(const ScalingOptions& options) {
   return run_scaling(
-      "fig8", options, {16, 32, 64, 128, 256}, /*warmup=*/1, /*measured=*/2,
-      /*gpus_per_node=*/4, &net::SystemConfig::lassen,
-      {64u << 10, 1u << 20, 4u << 20, 16u << 20, 32u << 20},
+      {"fig8", {16, 32, 64, 128, 256}, /*warmup=*/1, /*measured=*/2, /*gpus_per_node=*/4,
+       &net::SystemConfig::lassen, paper_plans(),
+       model_tuning({"nccl", "mv2-gdr"},
+                    {OpType::AllReduce, OpType::AllToAllSingle, OpType::Barrier},
+                    {64u << 10, 1u << 20, 4u << 20, 16u << 20, 32u << 20})},
+      options,
       [](const net::SystemConfig& sys) { return models::DSMoEModel(models::DSMoEConfig{}, sys); });
 }
 
 BenchReport run_fig9(const ScalingOptions& options) {
   return run_scaling(
-      "fig9", options, {8, 16, 32}, /*warmup=*/2, /*measured=*/6,
-      /*gpus_per_node=*/8, &net::SystemConfig::theta_gpu,
-      {256u << 10, 1u << 20, 4u << 20, 8u << 20, 16u << 20},
+      {"fig9", {8, 16, 32}, /*warmup=*/2, /*measured=*/6, /*gpus_per_node=*/8,
+       &net::SystemConfig::theta_gpu, paper_plans(),
+       model_tuning({"nccl", "mv2-gdr"},
+                    {OpType::AllReduce, OpType::AllToAllSingle, OpType::Barrier},
+                    {256u << 10, 1u << 20, 4u << 20, 8u << 20, 16u << 20})},
+      options,
       [](const net::SystemConfig& sys) { return models::DLRMModel(models::DLRMConfig{}, sys); });
 }
+
+namespace {
+
+// Figure 10: dense Megatron-DeepSpeed (6.7B, TP=2, ZeRO-2) on ThetaGPU. The
+// tuned mix gives SCCL's synthesized schedules the huge ZeRO collectives and
+// MVAPICH2-GDR the small per-layer operations.
+BenchReport run_fig10(const ExperimentOptions& o) {
+  models::CommPlan tuned = models::CommPlan::mcr_dl_tuned();
+  tuned.name = "MCR-DL";
+  ScalingOptions options;
+  options.quick = o.quick;
+  return run_scaling(
+      {"fig10", {8, 16, 32}, /*warmup=*/1, /*measured=*/2, /*gpus_per_node=*/8,
+       &net::SystemConfig::theta_gpu,
+       {models::CommPlan::pure("mv2-gdr", "Pure MVAPICH2-GDR"),
+        models::CommPlan::pure("sccl", "Pure SCCL"), tuned},
+       model_tuning({"sccl", "mv2-gdr"},
+                    {OpType::AllReduce, OpType::ReduceScatter, OpType::AllGather,
+                     OpType::Barrier},
+                    {32u << 10, 1u << 20, 16u << 20, 128u << 20})},
+      options, [](const net::SystemConfig& sys) {
+        return models::MegatronDenseModel(models::MegatronConfig{}, sys);
+      });
+}
+
+// A model run as series: "<name>" carries the step time and throughput,
+// "<name>/comm" and "<name>/compute" rank 0's per-step communication time
+// (union of intervals) and default-stream busy time, so the comm share is
+// comm / (comm + compute). With `per_op`, "<name>/<op>" carries each
+// operation's per-step communication time.
+void add_run(BenchReport& report, const std::string& name, const std::string& backend,
+             const models::RunResult& r, bool per_op) {
+  report.series.push_back({name, backend, {point(r.world, 0, r.step_time_us, r.throughput)}});
+  report.series.push_back({name + "/comm", backend, {point(r.world, 0, r.comm_time_us)}});
+  report.series.push_back({name + "/compute", backend, {point(r.world, 0, r.compute_time_us)}});
+  if (!per_op) return;
+  for (const auto& [op, us] : r.comm_by_op_us) {
+    report.series.push_back({name + "/" + op, backend, {point(r.world, 0, us)}});
+  }
+}
+
+// The series called `name`, appended first if the report has none yet.
+BenchSeries& series_named(BenchReport& report, const std::string& name,
+                          const std::string& backend) {
+  for (auto& s : report.series) {
+    if (s.name == name) return s;
+  }
+  report.series.push_back({name, backend, {}});
+  return report.series.back();
+}
+
+models::HarnessOptions harness_steps(bool quick, int warmup, int measured) {
+  models::HarnessOptions opts;
+  opts.warmup_steps = quick ? 0 : warmup;
+  opts.measured_steps = quick ? 1 : measured;
+  return opts;
+}
+
+// Figure 1: (a) computation vs communication and (b) the per-operation
+// communication breakdown for ResNet-50 and DS-MoE (64 V100, Lassen) and
+// DLRM (32 A100, ThetaGPU), each under a monolithic NCCL framework as in
+// the paper's profile.
+BenchReport run_fig1(const ExperimentOptions& o) {
+  const models::HarnessOptions opts = harness_steps(o.quick, 1, 3);
+  const models::CommPlan nccl = models::CommPlan::pure("nccl");
+  const auto run = [&](const models::Model& model, const net::SystemConfig& sys) {
+    return models::TrainingHarness(sys).run(model, nccl, models::FrameworkModel::raw(), opts);
+  };
+  BenchReport report;
+  report.experiment = "fig1";
+  const net::SystemConfig lassen = net::SystemConfig::lassen(16);  // 64 GPUs
+  add_run(report, "ResNet-50", "nccl",
+          run(models::ResNet50Model(models::ResNet50Config{}, lassen), lassen), true);
+  add_run(report, "DS-MoE", "nccl", run(models::DSMoEModel(models::DSMoEConfig{}, lassen), lassen),
+          true);
+  const net::SystemConfig theta = net::SystemConfig::theta_gpu(4);  // 32 GPUs
+  add_run(report, "DLRM", "nccl", run(models::DLRMModel(models::DLRMConfig{}, theta), theta),
+          true);
+  return report;
+}
+
+// Table II: the static tuning table the tuning suite generates for
+// all_gather on 64 Lassen GPUs. One series per winning backend holds the
+// sizes it wins, each point that size's measured latency.
+BenchReport run_table2(const ExperimentOptions& o) {
+  TuningSuite suite(net::SystemConfig::lassen(16));  // 64 GPUs
+  TuningConfig cfg;
+  cfg.ops = {OpType::AllGather};
+  cfg.sizes = {256, 512, 1024, 2048, 4096, 8192, 16384, 32768};
+  if (o.quick) cfg.sizes = {256, 4096, 16384};
+  cfg.world_sizes = {64};
+  cfg.iterations = o.quick ? 1 : 2;
+  cfg.warmup = o.quick ? 0 : 1;
+  const TuningTable table = suite.generate(cfg);
+
+  BenchReport report;
+  report.experiment = "table2";
+  for (const auto& entry : table.entries(OpType::AllGather, 64)) {
+    series_named(report, "all_gather/lassen/" + entry.backend, entry.backend)
+        .points.push_back(point(
+            64, entry.max_bytes,
+            suite.measured(entry.backend, OpType::AllGather, 64, entry.max_bytes)));
+  }
+  return report;
+}
+
+// Mean per-op Alltoall latency on 32 ThetaGPU A100s through one framework
+// layer over a fixed MVAPICH2-GDR backend.
+double fig7_alltoall_us(const models::FrameworkModel& fw, std::size_t bytes, int iters) {
+  ClusterContext cluster(net::SystemConfig::theta_gpu(4));  // 32 GPUs
+  McrDl mcr(&cluster);
+  const models::CommPlan plan = models::CommPlan::pure("mv2-gdr");
+  mcr.init(plan.backends_needed(available_backend_names()));
+  double result = 0.0;
+  const std::int64_t numel =
+      ((static_cast<std::int64_t>(bytes) / 4 + 31) / 32) * 32;  // divisible by world
+  cluster.run_spmd([&](int rank) {
+    Api api = mcr.on(rank);
+    models::CommIssuer comm(api, plan, fw);
+    sim::Device* dev = cluster.device(rank);
+    auto one = [&] {
+      Tensor in = Tensor::phantom({numel}, DType::F32, dev);
+      Tensor out = Tensor::phantom({numel}, DType::F32, dev);
+      comm.all_to_all_single(std::move(out), std::move(in), /*async_op=*/false);
+      api.synchronize();
+    };
+    one();  // warmup
+    const SimTime start = cluster.scheduler().now();
+    for (int i = 0; i < iters; ++i) one();
+    if (rank == 0) result = (cluster.scheduler().now() - start) / iters;
+  });
+  return result;
+}
+
+// Figure 7: framework overhead over the raw OSU-style benchmark (OMB). One
+// series per framework layer; overhead is framework / OMB - 1 per size.
+BenchReport run_fig7(const ExperimentOptions& o) {
+  std::vector<std::size_t> sizes = {512,       1u << 10,   4u << 10, 16u << 10, 64u << 10,
+                                    256u << 10, 1u << 20, 4u << 20, 16u << 20};
+  if (o.quick) sizes = {512, 1u << 20};
+  const int iters = o.quick ? 1 : 4;
+  BenchReport report;
+  report.experiment = "fig7";
+  for (const models::FrameworkModel& fw :
+       {models::FrameworkModel::raw(), models::FrameworkModel::mcr_dl(),
+        models::FrameworkModel::pytorch_distributed("mv2-gdr")}) {
+    BenchSeries series{fw.name, "mv2-gdr", {}};
+    for (std::size_t bytes : sizes) {
+      series.points.push_back(point(32, bytes, fig7_alltoall_us(fw, bytes, iters)));
+    }
+    report.series.push_back(std::move(series));
+  }
+  return report;
+}
+
+// Figure 11: MCR-DL against the PyTorch-compatible frameworks of Table I on
+// DS-MoE at 256 Lassen V100s, tensor fusion on wherever the framework
+// supports it.
+BenchReport run_fig11(const ExperimentOptions& o) {
+  const net::SystemConfig sys = net::SystemConfig::lassen(o.quick ? 4 : 64);  // 256 GPUs
+  models::TrainingHarness harness(sys);
+  const models::DSMoEModel model(models::DSMoEConfig{}, sys);
+  models::HarnessOptions opts = harness_steps(o.quick, 1, 2);
+  opts.mcr_options.fusion.enabled = true;  // disabled per framework when unsupported
+
+  const std::pair<models::FrameworkModel, models::CommPlan> entries[] = {
+      {models::FrameworkModel::mcr_dl(), models::CommPlan::mcr_dl_mixed()},
+      {models::FrameworkModel::horovod(), models::CommPlan::pure("nccl")},
+      {models::FrameworkModel::pytorch_distributed("nccl"), models::CommPlan::pure("nccl")},
+      {models::FrameworkModel::mpi4py(), models::CommPlan::pure("mv2-gdr")},
+  };
+  BenchReport report;
+  report.experiment = "fig11";
+  for (const auto& [framework, plan] : entries) {
+    add_run(report, framework.name, plan_backend_label(plan),
+            harness.run(model, plan, framework, opts), false);
+  }
+  return report;
+}
+
+// Figure 12: the comm share of DS-MoE (256 V100, Lassen) and DLRM (32 A100,
+// ThetaGPU) under the best single backend (NCCL) vs MCR-DL mixed backends.
+BenchReport run_fig12(const ExperimentOptions& o) {
+  BenchReport report;
+  report.experiment = "fig12";
+  const auto add_model = [&](const std::string& name, const models::Model& model,
+                             const net::SystemConfig& sys, const models::HarnessOptions& opts) {
+    models::TrainingHarness harness(sys);
+    for (const models::CommPlan& plan :
+         {models::CommPlan::pure("nccl", "Pure NCCL"), models::CommPlan::mcr_dl_mixed()}) {
+      add_run(report, name + "/" + plan.name, plan_backend_label(plan),
+              harness.run(model, plan, models::FrameworkModel::raw(), opts), false);
+    }
+  };
+  const net::SystemConfig lassen = net::SystemConfig::lassen(o.quick ? 4 : 64);  // 256 GPUs
+  add_model("DS-MoE", models::DSMoEModel(models::DSMoEConfig{}, lassen), lassen,
+            harness_steps(o.quick, 1, 2));
+  const net::SystemConfig theta = net::SystemConfig::theta_gpu(o.quick ? 1 : 4);  // 32 GPUs
+  add_model("DLRM", models::DLRMModel(models::DLRMConfig{}, theta), theta,
+            harness_steps(o.quick, 2, 6));
+  return report;
+}
+
+// --- ablations ----------------------------------------------------------------
+
+// Listing-3 pattern on 16 Lassen GPUs: `rounds` of {async 4 MiB allreduce,
+// independent compute, dependent compute}; returns total virtual time.
+// `naive` host-synchronises right after each post (paper Fig 4a) instead of
+// MCR-DL's stream-level wait (Fig 4b).
+double sync_overlap_us(bool naive, int rounds) {
+  ClusterContext cluster(net::SystemConfig::lassen(4));  // 16 GPUs
+  McrDl mcr(&cluster);
+  mcr.init({"nccl"});
+  double total = 0.0;
+  cluster.run_spmd([&](int rank) {
+    Api api = mcr.on(rank);
+    sim::Device* dev = cluster.device(rank);
+    for (int i = 0; i < rounds; ++i) {
+      Tensor x = Tensor::phantom({1 << 20}, DType::F32, dev);  // 4 MiB
+      Work h = api.all_reduce("nccl", x, ReduceOp::Sum, /*async_op=*/true);
+      if (naive) h->synchronize();  // Fig 4(a): host blocks right away
+      dev->compute(300.0, "independent");
+      h->wait();  // Fig 4(b): stream-level dependency
+      dev->compute(50.0, "dependent");
+    }
+    api.synchronize();
+    dev->default_stream()->synchronize();
+    if (rank == 0) total = cluster.scheduler().now();
+  });
+  return total;
+}
+
+// `ops` concurrent allreduces of `bytes`; pool=false serialises them onto
+// one communication stream with explicit waits between posts.
+double sync_pool_us(bool use_pool, int ops, std::size_t bytes) {
+  ClusterContext cluster(net::SystemConfig::lassen(4));
+  McrDl mcr(&cluster);
+  mcr.init({"nccl"});
+  double total = 0.0;
+  cluster.run_spmd([&](int rank) {
+    Api api = mcr.on(rank);
+    sim::Device* dev = cluster.device(rank);
+    std::vector<Work> works;
+    for (int i = 0; i < ops; ++i) {
+      Tensor x = Tensor::phantom({static_cast<std::int64_t>(bytes / 4)}, DType::F32, dev);
+      if (!use_pool && !works.empty()) works.back()->synchronize();
+      works.push_back(api.all_reduce("nccl", x, ReduceOp::Sum, true));
+    }
+    for (auto& w : works) w->synchronize();
+    if (rank == 0) total = cluster.scheduler().now();
+  });
+  return total;
+}
+
+// Synchronisation ablation (paper Section V-C, Figure 4): naive host sync vs
+// fine-grained events on the overlap pattern, and the communication-stream
+// pool, which only helps small concurrent messages.
+BenchReport run_ablation_sync(const ExperimentOptions& o) {
+  const int rounds = o.quick ? 2 : 8;
+  BenchReport report;
+  report.experiment = "ablation-sync";
+  for (bool naive : {true, false}) {
+    report.series.push_back({naive ? "overlap/naive" : "overlap/events", "nccl",
+                             {point(16, 4u << 20, sync_overlap_us(naive, rounds))}});
+  }
+  std::vector<std::size_t> sizes = {4u << 10, 64u << 10, 4u << 20};
+  if (o.quick) sizes = {4u << 10, 4u << 20};
+  for (bool pooled : {false, true}) {
+    BenchSeries series{pooled ? "pool/pooled" : "pool/serialised", "nccl", {}};
+    for (std::size_t bytes : sizes) {
+      series.points.push_back(point(16, bytes, sync_pool_us(pooled, 8, bytes)));
+    }
+    report.series.push_back(std::move(series));
+  }
+  return report;
+}
+
+// `tensors` 16 KiB gradient allreduces per rank on 16 Lassen GPUs under
+// `cfg`, returned as one point: total virtual time plus the collectives
+// issued across ranks ("flushes"; one per tensor with fusion off) and the
+// cross-backend overlap flushes. `two_backends` alternates NCCL and
+// MVAPICH2-GDR for the overlap study; otherwise everything goes to NCCL,
+// whose per-op launch overhead is the cost fusion amortises.
+BenchPoint fusion_point(const FusionConfig& cfg, int tensors, bool two_backends) {
+  constexpr std::size_t kBytes = 16 << 10;
+  ClusterContext cluster(net::SystemConfig::lassen(4));  // 16 GPUs
+  McrDlOptions opts;
+  opts.fusion = cfg;
+  McrDl mcr(&cluster, opts);
+  mcr.init(two_backends ? std::vector<std::string>{"nccl", "mv2-gdr"}
+                        : std::vector<std::string>{"nccl"});
+  double total = 0.0;
+  cluster.run_spmd([&](int rank) {
+    Api api = mcr.on(rank);
+    sim::Device* dev = cluster.device(rank);
+    for (int i = 0; i < tensors; ++i) {
+      Tensor g = Tensor::phantom({static_cast<std::int64_t>(kBytes / 4)}, DType::F32, dev);
+      api.all_reduce(two_backends && i % 2 == 1 ? "mv2-gdr" : "nccl", g, ReduceOp::Sum,
+                     /*async_op=*/true);
+      dev->compute(2.0, "grad-producer");
+    }
+    api.synchronize();
+    if (rank == 0) total = cluster.scheduler().now();
+  });
+  const int world = cluster.world_size();
+  const double flushes = cfg.enabled ? mcr.fusion().flush_count() : tensors * world;
+  return point(world, kBytes, total, 0.0,
+               {{"flushes", flushes}, {"overlap_flushes", mcr.fusion().overlap_flush_count()}});
+}
+
+FusionConfig fusion_config(std::size_t buffer_bytes, double timeout_us, bool overlap = false) {
+  FusionConfig cfg;
+  cfg.enabled = true;
+  cfg.buffer_bytes = buffer_bytes;
+  cfg.flush_timeout_us = timeout_us;
+  cfg.max_tensor_bytes = 64 << 10;
+  cfg.cross_backend_overlap = overlap;
+  return cfg;
+}
+
+// Tensor-fusion ablation (paper Section V-E): buffer size B at T = 100 us,
+// flush timeout T at B = 1 MiB, and the cross-backend overlap flush.
+BenchReport run_ablation_fusion(const ExperimentOptions& o) {
+  const int tensors = o.quick ? 16 : 64;
+  std::vector<std::size_t> buffers = {64u << 10, 256u << 10, 1u << 20, 4u << 20};
+  std::vector<double> timeouts = {10.0, 50.0, 200.0, 1000.0};
+  if (o.quick) {
+    buffers = {64u << 10, 1u << 20};
+    timeouts = {10.0, 200.0};
+  }
+  BenchReport report;
+  report.experiment = "ablation-fusion";
+  report.series.push_back({"fusion-off", "nccl", {fusion_point(FusionConfig{}, tensors, false)}});
+  for (std::size_t b : buffers) {
+    report.series.push_back({"B=" + format_bytes(b), "nccl",
+                             {fusion_point(fusion_config(b, 100.0), tensors, false)}});
+  }
+  for (double t : timeouts) {
+    report.series.push_back({"T=" + std::to_string(static_cast<int>(t)) + "us", "nccl",
+                             {fusion_point(fusion_config(1u << 20, t), tensors, false)}});
+  }
+  for (bool overlap : {false, true}) {
+    report.series.push_back({overlap ? "cross-backend/on" : "cross-backend/off", "mixed",
+                             {fusion_point(fusion_config(1u << 20, 50.0, overlap), tensors,
+                                           true)}});
+  }
+  return report;
+}
+
+// `rounds` of {64 KiB materialised broadcast, phantom 4 MiB-per-rank
+// all_gather} on 16 Lassen GPUs with the zfp-style codec at `bits` per value
+// (0 = off). Returns total virtual time and, in values, the broadcast's max
+// reconstruction error on rank 1.
+BenchPoint compression_point(int bits, int rounds) {
+  CompressionConfig ccfg;
+  ccfg.enabled = bits > 0;
+  if (ccfg.enabled) ccfg.codec.bits_per_value = bits;
+  ccfg.min_bytes = 0;
+  McrDlOptions opts;
+  opts.compression = ccfg;
+  ClusterContext cluster(net::SystemConfig::lassen(4));  // 16 GPUs
+  McrDl mcr(&cluster, opts);
+  mcr.init({"nccl"});
+  double total = 0.0;
+  double max_error = 0.0;
+  cluster.run_spmd([&](int rank) {
+    Api api = mcr.on(rank);
+    sim::Device* dev = cluster.device(rank);
+    // A real (materialised) payload so reconstruction error is measurable.
+    Rng rng(7);
+    Tensor reference = Tensor::random_uniform({16384}, DType::F32, dev, rng, -1.0, 1.0);
+    Tensor payload = rank == 0 ? reference.clone() : Tensor::zeros({16384}, DType::F32, dev);
+    for (int i = 0; i < rounds; ++i) {
+      api.broadcast("nccl", payload, 0);
+      // Plus a phantom bandwidth-bound all_gather to expose the wire saving.
+      Tensor in = Tensor::phantom({1 << 20}, DType::F32, dev);
+      Tensor gathered = Tensor::phantom({16 << 20}, DType::F32, dev);
+      api.all_gather("nccl", gathered, in);
+      api.synchronize();
+    }
+    if (rank == 1) {
+      for (int i = 0; i < 16384; ++i) {
+        max_error = std::max(max_error, std::abs(payload.get(i) - reference.get(i)));
+      }
+    }
+    if (rank == 0) total = cluster.scheduler().now();
+  });
+  return point(16, 0, total, 0.0, {{"max_error", max_error}});
+}
+
+// Compression ablation (paper Section V-E): codec rate vs total time vs
+// reconstruction error.
+BenchReport run_ablation_compression(const ExperimentOptions& o) {
+  const int rounds = o.quick ? 1 : 4;
+  std::vector<int> rates = {6, 8, 12, 16, 20};
+  if (o.quick) rates = {8, 16};
+  BenchReport report;
+  report.experiment = "ablation-compression";
+  report.series.push_back({"off", "nccl", {compression_point(0, rounds)}});
+  for (int bits : rates) {
+    report.series.push_back(
+        {"bits=" + std::to_string(bits), "nccl", {compression_point(bits, rounds)}});
+  }
+  return report;
+}
+
+// Tuning-table transfer (paper Section V-F): the same sweep on 32 Lassen and
+// 32 ThetaGPU GPUs. One series per (op, system, winning backend) holds the
+// sizes that backend wins, each point its measured latency; two systems
+// agree at a size when the same backend's series holds it on both.
+BenchReport run_ablation_transfer(const ExperimentOptions& o) {
+  std::vector<std::size_t> sizes = {1u << 10, 16u << 10, 256u << 10, 4u << 20};
+  if (o.quick) sizes = {1u << 10, 4u << 20};
+  constexpr int kWorld = 32;
+  const std::pair<const char*, net::SystemConfig> systems[] = {
+      {"lassen", net::SystemConfig::lassen(8)}, {"theta-gpu", net::SystemConfig::theta_gpu(4)}};
+  BenchReport report;
+  report.experiment = "ablation-transfer";
+  for (const auto& [system, sys] : systems) {
+    TuningSuite suite(sys);
+    TuningConfig cfg;
+    cfg.backends = {"mv2-gdr", "nccl", "sccl"};
+    cfg.ops = {OpType::AllReduce, OpType::AllGather, OpType::AllToAllSingle};
+    cfg.sizes = sizes;
+    cfg.world_sizes = {kWorld};
+    cfg.iterations = 1;
+    const TuningTable table = suite.generate(cfg);
+    for (OpType op : cfg.ops) {
+      for (std::size_t bytes : sizes) {
+        const std::string& winner = table.lookup(op, kWorld, bytes);
+        series_named(report, std::string(op_name(op)) + "/" + system + "/" + winner, winner)
+            .points.push_back(point(kWorld, bytes, suite.measured(winner, op, kWorld, bytes)));
+      }
+    }
+  }
+  return report;
+}
+}  // namespace
 
 // --- execution-engine scaling -----------------------------------------------
 
@@ -487,32 +1109,33 @@ namespace {
 struct ResilienceRun {
   std::vector<double> step_us;      // rank 0 durations, phase one then two
   std::vector<double> done_at_us;   // rank 0 completion instants, same order
+  std::vector<int> alive_at_done;   // ranks alive at each completion
   std::size_t phase_two_begin = 0;  // index of phase two's first step
   fault::ResilienceReport report;
   int alive = 0;                    // ranks alive at the end of the run
 };
 
-// The shared two-phase loop: lose `lost_rank` at `loss_at`, park every rank
-// until just past `rejoin_at`, run phase two over whatever is alive. The
-// shrink-only run simply omits the rank_rejoin spec, so the casualty stays
-// dead through phase two and the two runs differ in nothing but the grow.
-ResilienceRun run_resilience_loop(const ResilienceOptions& opts, SimTime loss_at,
-                                  SimTime rejoin_at, bool with_rejoin) {
+// The shared two-phase loop under fault plan `specs`: phase one runs until
+// the step count or the rank's loss, every rank parks until `wake_at`, and
+// phase two runs over whatever is alive. The shrink-only run simply omits
+// the rank_rejoin spec, so the casualty stays dead through phase two and the
+// two runs differ in nothing but the grow.
+ResilienceRun run_resilience_loop(const ResilienceOptions& opts,
+                                  std::vector<fault::FaultSpec> specs, SimTime wake_at) {
   const net::SystemConfig sys = net::SystemConfig::lassen(opts.world / 4);
   ClusterContext cluster(sys);
   McrDlOptions mopts;
   mopts.fault.enabled = true;
-  const SimTime silent_from = std::max(0.0, loss_at - 2.0 * opts.interval_us);
-  mopts.fault.plan.specs.push_back(
-      fault::FaultSpec::straggler(opts.lost_rank, 10.0 * loss_at + 1000.0, silent_from, loss_at));
-  mopts.fault.plan.specs.push_back(fault::FaultSpec::lose_rank(opts.lost_rank, loss_at));
-  if (with_rejoin) {
-    mopts.fault.plan.specs.push_back(fault::FaultSpec::rejoin_rank(opts.lost_rank, rejoin_at));
-  }
+  mopts.fault.plan.specs = std::move(specs);
   McrDl mcr(&cluster, mopts);
   mcr.init({"nccl", "mv2-gdr"});
 
   ResilienceRun out;
+  const auto alive = [&] {
+    int n = 0;
+    for (int r = 0; r < opts.world; ++r) n += cluster.faults().rank_lost(r) ? 0 : 1;
+    return n;
+  };
   const std::int64_t numel =
       std::max<std::int64_t>(static_cast<std::int64_t>(opts.bytes / 4), 1);
   cluster.run_spmd([&](int rank) {
@@ -526,6 +1149,7 @@ ResilienceRun run_resilience_loop(const ResilienceOptions& opts, SimTime loss_at
       if (rank == 0) {
         out.step_us.push_back(cluster.scheduler().now() - start);
         out.done_at_us.push_back(cluster.scheduler().now());
+        out.alive_at_done.push_back(alive());
       }
       if (opts.interval_us > 0.0) cluster.scheduler().sleep_for(opts.interval_us);
     };
@@ -540,9 +1164,8 @@ ResilienceRun run_resilience_loop(const ResilienceOptions& opts, SimTime loss_at
     if (rank == 0) out.phase_two_begin = out.step_us.size();
     // Virtual-time barrier past the rejoin instant, so the grow event (when
     // planned) fires into an idle cluster in both runs alike.
-    const SimTime wake = rejoin_at + opts.interval_us + 1.0;
-    if (cluster.scheduler().now() < wake) {
-      cluster.scheduler().sleep_for(wake - cluster.scheduler().now());
+    if (cluster.scheduler().now() < wake_at) {
+      cluster.scheduler().sleep_for(wake_at - cluster.scheduler().now());
     }
     for (int s = 0; s < opts.steps; ++s) {
       if (cluster.faults().rank_lost(rank)) break;
@@ -550,21 +1173,18 @@ ResilienceRun run_resilience_loop(const ResilienceOptions& opts, SimTime loss_at
     }
   });
   out.report = mcr.failover()->report();
-  for (int r = 0; r < opts.world; ++r) {
-    if (!cluster.faults().rank_lost(r)) ++out.alive;
-  }
+  out.alive = alive();
   mcr.finalize();
   return out;
 }
 
-BenchSeries resilience_step_series(const std::string& name, const ResilienceRun& run,
-                                   int world) {
+BenchSeries resilience_step_series(const std::string& name, const ResilienceRun& run) {
   BenchSeries series;
   series.name = name;
   series.backend = "nccl";
   for (std::size_t s = 0; s < run.step_us.size(); ++s) {
     BenchPoint p;
-    p.world = world;
+    p.world = run.alive_at_done[s];
     p.bytes = s;  // step index — the time axis
     p.virtual_us = run.step_us[s];
     p.items_per_s = p.virtual_us > 0.0 ? 1e6 / p.virtual_us : 0.0;
@@ -602,14 +1222,30 @@ ResilienceBenchReport run_resilience(const ResilienceOptions& options) {
   MCRDL_REQUIRE(opts.lost_rank >= 0 && opts.lost_rank < opts.world,
                 "lost rank out of range");
   MCRDL_REQUIRE(opts.steps >= 2, "resilience needs at least two steps per phase");
+  MCRDL_REQUIRE(opts.interval_us > 0.0, "resilience places the loss in the gap between steps");
 
-  // The loss lands mid-phase-one; the rejoin far enough past it that the
-  // survivors have certainly finished phase one (virtual time is free).
-  const SimTime loss_at = 2.0 * (opts.interval_us + 1000.0);
+  // The loss is placed from a measured step boundary of a clean run: the
+  // casualty falls silent halfway through the idle gap before step steps/2
+  // (its last op done, the next not yet posted) and is declared lost two
+  // intervals later. The survivors post that step and park on the silent
+  // casualty until the loss, so the step's measured window holds the whole
+  // wait whatever a clean step costs. The rejoin lands far enough past the
+  // loss that the survivors have certainly finished phase one (virtual
+  // time is free).
+  const ResilienceRun clean = run_resilience_loop(opts, {}, 0.0);
+  const std::size_t loss_step = static_cast<std::size_t>(opts.steps / 2);
+  const SimTime silent_from = clean.done_at_us[loss_step - 1] + 0.5 * opts.interval_us;
+  const SimTime loss_at = silent_from + 2.0 * opts.interval_us;
   const SimTime rejoin_at = loss_at + 100.0 * opts.steps * (opts.interval_us + 1000.0);
+  const std::vector<fault::FaultSpec> loss = {
+      fault::FaultSpec::straggler(opts.lost_rank, 10.0 * loss_at + 1000.0, silent_from, loss_at),
+      fault::FaultSpec::lose_rank(opts.lost_rank, loss_at)};
+  std::vector<fault::FaultSpec> loss_and_rejoin = loss;
+  loss_and_rejoin.push_back(fault::FaultSpec::rejoin_rank(opts.lost_rank, rejoin_at));
+  const SimTime wake_at = rejoin_at + opts.interval_us + 1.0;
 
-  const ResilienceRun shrink = run_resilience_loop(opts, loss_at, rejoin_at, false);
-  const ResilienceRun rejoin = run_resilience_loop(opts, loss_at, rejoin_at, true);
+  const ResilienceRun shrink = run_resilience_loop(opts, loss, wake_at);
+  const ResilienceRun rejoin = run_resilience_loop(opts, loss_and_rejoin, wake_at);
   MCRDL_REQUIRE(shrink.alive == opts.world - 1, "shrink run did not lose exactly one rank");
   MCRDL_REQUIRE(rejoin.alive == opts.world, "rejoin run did not restore the full world");
 
@@ -624,19 +1260,19 @@ ResilienceBenchReport run_resilience(const ResilienceOptions& options) {
   report.shrink_post_rank_steps_per_s = post_throughput(shrink, shrink.alive);
   report.rejoin_post_rank_steps_per_s = post_throughput(rejoin, rejoin.alive);
 
-  report.bench.series.push_back(resilience_step_series("steps/shrink", shrink, opts.world));
-  report.bench.series.push_back(resilience_step_series("steps/rejoin", rejoin, opts.world));
+  report.bench.series.push_back(resilience_step_series("steps/shrink", shrink));
+  report.bench.series.push_back(resilience_step_series("steps/rejoin", rejoin));
   BenchSeries shrink_summary;
   shrink_summary.name = "recovery/shrink";
   shrink_summary.backend = "nccl";
-  shrink_summary.points.push_back(BenchPoint{shrink.alive, 0, report.shrink_recovery_us,
-                                             report.shrink_post_rank_steps_per_s});
+  shrink_summary.points.push_back(
+      point(shrink.alive, 0, report.shrink_recovery_us, report.shrink_post_rank_steps_per_s));
   report.bench.series.push_back(std::move(shrink_summary));
   BenchSeries rejoin_summary;
   rejoin_summary.name = "recovery/rejoin";
   rejoin_summary.backend = "nccl";
-  rejoin_summary.points.push_back(BenchPoint{rejoin.alive, 0, report.rejoin_recovery_us,
-                                             report.rejoin_post_rank_steps_per_s});
+  rejoin_summary.points.push_back(
+      point(rejoin.alive, 0, report.rejoin_recovery_us, report.rejoin_post_rank_steps_per_s));
   report.bench.series.push_back(std::move(rejoin_summary));
   return report;
 }
@@ -914,12 +1550,15 @@ BenchReport run_hier(const HierOptions& options) {
 
 const std::vector<Experiment>& experiment_registry() {
   static const std::vector<Experiment> registry = {
+      {"fig1", "computation vs communication and per-op breakdown (paper Figure 1)", run_fig1},
       {"fig2", "collective microbenchmark across backends (paper Figure 2)",
        [](const ExperimentOptions& o) {
          Fig2Options options;
          options.quick = o.quick;
          return run_fig2(options);
        }},
+      {"table2", "all_gather tuning table, 64 Lassen GPUs (paper Table II)", run_table2},
+      {"fig7", "framework overhead over OMB, MPI Alltoall (paper Figure 7)", run_fig7},
       {"fig8", "DS-MoE scaling across communication plans (paper Figure 8)",
        [](const ExperimentOptions& o) {
          ScalingOptions options;
@@ -934,6 +1573,18 @@ const std::vector<Experiment>& experiment_registry() {
          options.execution = sim::ExecutionConfig::from_threads(o.threads);
          return run_fig9(options);
        }},
+      {"fig10", "dense Megatron-DeepSpeed scaling, MV2-GDR vs SCCL vs mix (paper Figure 10)",
+       run_fig10},
+      {"fig11", "framework comparison on DS-MoE, 256 Lassen GPUs (paper Figure 11)", run_fig11},
+      {"fig12", "communication-share reduction with MCR-DL (paper Figure 12)", run_fig12},
+      {"ablation-sync", "naive host sync vs events, and the comm-stream pool (Section V-C)",
+       run_ablation_sync},
+      {"ablation-fusion", "fusion buffer size, flush timeout, cross-backend flush (Section V-E)",
+       run_ablation_fusion},
+      {"ablation-compression", "codec rate vs time vs reconstruction error (Section V-E)",
+       run_ablation_compression},
+      {"ablation-transfer", "tuning-table winners on Lassen vs ThetaGPU (Section V-F)",
+       run_ablation_transfer},
       {"scale", "execution-engine wall-clock scaling, serial vs sharded (DESIGN.md §11)",
        [](const ExperimentOptions& o) {
          ScaleOptions options;

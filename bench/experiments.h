@@ -1,28 +1,37 @@
-// Reusable drivers for the paper's headline experiments (Figures 2, 8, 9)
-// plus the stable BENCH_*.json export schema.
+// The experiment harness: every paper figure, table and ablation, plus the
+// beyond-the-paper subsystem studies, as one registry of runners that each
+// return a BenchReport, and the stable BENCH_*.json export schema.
 //
-// The figure binaries (bench_fig2_microbench, bench_fig8_dsmoe,
-// bench_fig9_dlrm) and the `bench_export` tool share these drivers: the
-// binaries render tables for humans, the tool writes machine-readable
-// perf-trajectory files CI can diff across commits.
+// `tools/bench_export` is the single entry point: `--list` prints the
+// registry, `--experiment <name>` runs one entry, prints its points as one
+// table and writes BENCH_<name>.json, and `--check` validates a file with
+// check_report().
 //
 // Schema (mcrdl-bench-v1):
 //   {"schema":"mcrdl-bench-v1","experiment":"fig2",
 //    "series":[{"name":"all_reduce/nccl","backend":"nccl",
 //               "points":[{"world":64,"bytes":1024,"virtual_us":12.3,
 //                          "items_per_s":0.0},...]},...]}
-// Microbench sweeps vary `bytes` (monotonically increasing within a
-// series); model-scaling sweeps vary `world` and report bytes=0 with
-// throughput in items_per_s.
+// `world` is a GPU count, `bytes` a message size (0 for whole-step or
+// whole-workload timings), `virtual_us` a latency or step time and
+// `items_per_s` a throughput. A categorical axis (framework, plan, model,
+// winning backend) gets one series per category, and the few quantities
+// that are neither a time nor a rate go in a point's optional `values` map.
+// Microbench sweeps vary `bytes` (increasing within a series); scaling
+// sweeps vary `world`. Four older exports still put another axis in
+// `bytes`: serve a percentile rank, adapt a window's first step, scale a
+// thread count and resilience a step index.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/fault/failover.h"
+#include "src/obs/json.h"
 #include "src/sched/serve.h"
 #include "src/sim/execution_model.h"
 
@@ -35,6 +44,11 @@ struct BenchPoint {
   std::size_t bytes = 0;        // 0 for model sweeps (whole-step timing)
   double virtual_us = 0.0;      // per-op latency or per-step time
   double items_per_s = 0.0;     // throughput where the experiment has one
+  // Named counts and errors that are neither a time nor a rate (fusion
+  // "flushes"/"overlap_flushes", compression "max_error"). Emitted sorted by
+  // name as `"values":{...}`, and only when non-empty; every entry must be a
+  // finite number.
+  std::map<std::string, double> values;
 };
 
 struct BenchSeries {
@@ -44,16 +58,21 @@ struct BenchSeries {
 };
 
 struct BenchReport {
-  std::string experiment;       // "fig2", "fig8", "fig9"
+  std::string experiment;       // the registry name: "fig2", "fig8", ...
   std::vector<BenchSeries> series;
 
   const BenchSeries* find(const std::string& name) const;
-  // The point for `world` in `name`; throws InvalidArgument when absent.
-  const BenchPoint& at(const std::string& name, int world) const;
 };
 
 // Serialises a report in the mcrdl-bench-v1 schema (strictly valid JSON).
 std::string to_bench_json(const BenchReport& report);
+
+// Validates a parsed mcrdl-bench-v1 document; throws InvalidArgument on the
+// first violation. Beyond the schema it applies each experiment's named
+// rules: fig2 needs a strictly increasing message-size sweep, hotpath a
+// speedup series at >= 1.5x, hier its two orderings, and resilience the rule
+// "loss step > clean step" on every `steps/*` series.
+void check_report(const obs::JsonValue& doc);
 
 // --- experiment drivers -----------------------------------------------------
 
@@ -166,12 +185,17 @@ ServeBenchReport run_serve(const ServeExperimentOptions& options = {});
 // survivors shrink and finish), every rank then parks until just past the
 // rejoin instant, and phase two runs over whatever world is alive: the
 // shrunk survivors in the shrink-only run, the restored full world in the
-// rejoin run. Series "steps/shrink" and "steps/rejoin" carry rank 0's
-// per-step times (`bytes` is the step index); "recovery/shrink" and
-// "recovery/rejoin" carry one point each with `world` the post-recovery
-// alive count, `virtual_us` the recovery latency (loss/rejoin instant to
-// the first collective completed afterwards) and `items_per_s` the
-// post-recovery throughput in rank-steps/s — the number grow-back restores.
+// rejoin run. The loss is placed from a clean calibration run: the casualty
+// falls silent in the idle gap before step steps/2 and is declared lost two
+// intervals later, so the survivors' wait lands inside that step's measured
+// window. Series "steps/shrink" and "steps/rejoin" carry rank 0's per-step
+// times (`bytes` is the step index, `world` the ranks alive when the step
+// completed, so the first point with a smaller world is the loss step);
+// "recovery/shrink" and "recovery/rejoin" carry one point each with `world`
+// the post-recovery alive count, `virtual_us` the recovery latency
+// (loss/rejoin instant to the first collective completed afterwards) and
+// `items_per_s` the post-recovery throughput in rank-steps/s — the number
+// grow-back restores.
 struct ResilienceOptions {
   int world = 8;                   // Lassen, world/4 nodes
   std::size_t bytes = 1u << 20;    // all_reduce payload
@@ -270,8 +294,9 @@ struct ExperimentOptions {
   // Execution engine: <=1 runs the serial baton, N>1 runs ParallelShards
   // with N worker threads. Applies to the harness-driven experiments
   // (fig8/fig9); for "scale" it sets the largest thread count compared
-  // against serial. fig2/adapt/serve pin the serial referee (the tuning
-  // suite and the online tuner's exploration are calibrated against it).
+  // against serial. Every other experiment pins the serial referee (the
+  // tuning suite and the online tuner's exploration are calibrated
+  // against it).
   int threads = 1;
 };
 
@@ -281,8 +306,10 @@ struct Experiment {
   std::function<BenchReport(const ExperimentOptions&)> run;
 };
 
-// Registered experiments in a stable order (fig2, fig8, fig9, scale, adapt,
-// serve, resilience, hotpath, hier).
+// Registered experiments in a stable order: the paper's figures and tables
+// (fig1, fig2, table2, fig7-fig12), the ablations (ablation-sync,
+// ablation-fusion, ablation-compression, ablation-transfer), then the
+// subsystem studies (scale, adapt, serve, resilience, hotpath, hier).
 const std::vector<Experiment>& experiment_registry();
 // The registry entry for `name`, or nullptr when unknown.
 const Experiment* find_experiment(const std::string& name);

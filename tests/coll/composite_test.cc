@@ -225,7 +225,7 @@ double pattern(int rank, std::int64_t i) { return (rank + 1) * static_cast<doubl
 
 class CompositeScratchTest
     : public CompositeTest,
-      public ::testing::WithParamInterface<std::tuple<const char*, bool>> {};
+      public ::testing::WithParamInterface<std::tuple<std::string, bool>> {};
 
 TEST_P(CompositeScratchTest, NonDivisibleLengthEqualsHostSum) {
   const auto [algo, overlap] = GetParam();
@@ -257,10 +257,11 @@ TEST_P(CompositeScratchTest, NonDivisibleLengthEqualsHostSum) {
 
 INSTANTIATE_TEST_SUITE_P(
     Algos, CompositeScratchTest,
-    ::testing::Combine(::testing::Values("hier:nccl+mv2-gdr", "rsag:mv2-gdr"),
+    ::testing::Combine(::testing::Values(std::string("hier:nccl+mv2-gdr"),
+                                         std::string("rsag:mv2-gdr")),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, bool>>& info) {
-      const std::string algo = std::get<0>(info.param);
+    [](const ::testing::TestParamInfo<std::tuple<std::string, bool>>& info) {
+      const std::string& algo = std::get<0>(info.param);
       return std::string(algo.rfind("hier", 0) == 0 ? "hier" : "rsag") +
              (std::get<1>(info.param) ? "_chunked" : "_unchunked");
     });

@@ -38,6 +38,9 @@ ctest --output-on-failure -j "${jobs}" -L sched
 # scheduler's interleaving, and elastic shrink/rejoin across in-flight
 # composites.
 ctest --output-on-failure -j "${jobs}" -L coll
+# And the experiment-harness suite: every registry entry's quick run exports
+# a file check_report accepts, and the report rules reject what they guard.
+ctest --output-on-failure -j "${jobs}" -L bench
 
 # Chaos-differential smoke: kill rank 3 at t=2500us mid-run and require a
 # clean elastic recovery — exit 0 (planned casualty only, survivors agree)
@@ -103,15 +106,6 @@ if ! cmp -s "${bench_dir}/ckpt_a.txt" "${bench_dir}/ckpt_b.txt"; then
   exit 1
 fi
 
-# Perf-trajectory smoke: export the Figure 2 microbenchmark on the quick
-# grid and validate the BENCH file — the strict parser must accept it and at
-# least one series must sweep monotonically increasing message sizes.
-echo "== bench_export smoke: fig2 perf trajectory =="
-bench_dir="${build_dir}/bench-export"
-mkdir -p "${bench_dir}"
-"${build_dir}/tools/bench_export" --experiment fig2 --quick --out "${bench_dir}"
-"${build_dir}/tools/bench_export" --check "${bench_dir}/BENCH_fig2.json"
-
 # Adaptation smoke: degrade the statically-best backend mid-run and require
 # the online tuner to re-route (switches > 0) and the post-adaptation step
 # time to land within 10% of the best undegraded alternative — the tool's
@@ -150,12 +144,6 @@ if [ -z "${deadlocks}" ] || [ "${deadlocks}" -ne 0 ]; then
   exit 1
 fi
 
-# Serve perf trajectory: the clean-vs-chaos percentile export must pass the
-# strict schema check like every other BENCH file.
-echo "== bench_export smoke: serve perf trajectory =="
-"${build_dir}/tools/bench_export" --experiment serve --quick --out "${bench_dir}"
-"${build_dir}/tools/bench_export" --check "${bench_dir}/BENCH_serve.json"
-
 # Parallel-engine scale smoke (DESIGN.md §11): the sharded engine must be a
 # pure wall-clock optimisation — same virtual-time results, byte for byte.
 #   1. The same fault-free workload under the serial baton and under four
@@ -164,7 +152,7 @@ echo "== bench_export smoke: serve perf trajectory =="
 #      produce byte-identical BENCH files (every number in fig8 derives from
 #      virtual time, so any divergence means the engines disagreed).
 # Both runs sit under `timeout` so a barrier deadlock fails the smoke rather
-# than hanging CI; the scale experiment itself then passes the schema check.
+# than hanging CI.
 echo "== scale smoke: serial vs --threads 4 byte-identity =="
 timeout 300 "${build_dir}/tools/mcrdl_chaos" --scenario=none --gpus=8 --iterations=6 \
     --size=256k --trace="${bench_dir}/trace_serial.json" >/dev/null
@@ -184,34 +172,23 @@ if ! cmp -s "${bench_dir}/BENCH_fig8_serial.json" "${bench_dir}/BENCH_fig8.json"
   diff "${bench_dir}/BENCH_fig8_serial.json" "${bench_dir}/BENCH_fig8.json" >&2 || true
   exit 1
 fi
-timeout 600 "${build_dir}/tools/bench_export" --experiment scale --quick --out "${bench_dir}"
-"${build_dir}/tools/bench_export" --check "${bench_dir}/BENCH_scale.json"
 
-# Resilience perf trajectory (DESIGN.md §13): shrink-only vs shrink-then-
-# rejoin recovery latency and post-recovery throughput, exported on the quick
-# grid and validated by the strict schema check like every other BENCH file.
-echo "== bench_export smoke: resilience perf trajectory =="
-timeout 600 "${build_dir}/tools/bench_export" --experiment resilience --quick --out "${bench_dir}"
-"${build_dir}/tools/bench_export" --check "${bench_dir}/BENCH_resilience.json"
-
-# Hot-path perf trajectory (DESIGN.md §14): export the dispatch-throughput
-# experiment on the quick grid and validate it — the schema check requires a
-# populated speedup series and fails if the bucketed/unbucketed ratio ever
-# drops below 1.5x (committed exports show >=4x; the CI gate is lenient so a
-# loaded runner cannot flake it, while still catching bucketing that stopped
-# amortizing dispatch).
-echo "== bench_export smoke: hotpath perf trajectory =="
-timeout 600 "${build_dir}/tools/bench_export" --experiment hotpath --quick --out "${bench_dir}"
-"${build_dir}/tools/bench_export" --check "${bench_dir}/BENCH_hotpath.json"
-
-# Composite-collective perf trajectory (DESIGN.md §15): export the hier
-# experiment on the quick grid and validate it — the schema check enforces
-# the two orderings that make the subsystem worth having (hierarchical
-# allreduce beats flat at every swept node count >= 2 for the largest
-# message; hier+overlap beats the identical hier plan on the 3D-CNN model).
-echo "== bench_export smoke: hier perf trajectory =="
-timeout 600 "${build_dir}/tools/bench_export" --experiment hier --quick --out "${bench_dir}"
-"${build_dir}/tools/bench_export" --check "${bench_dir}/BENCH_hier.json"
+# Experiment harness (bench/experiments.h): every registered experiment —
+# each paper figure, table and ablation plus the subsystem studies — runs on
+# its quick grid, and its export must pass `--check`: the strict schema plus
+# the experiment's named rules (fig2's increasing message-size sweep,
+# hotpath's bucketed/unbucketed speedup >= 1.5x, hier's flat-vs-hier and
+# overlap orderings, resilience's "loss step > clean step"). Every committed
+# BENCH_*.json baseline must pass the same check.
+echo "== bench_export: every experiment on the quick grid, then --check =="
+for name in $("${build_dir}/tools/bench_export" --list | awk '{print $1}'); do
+  timeout 600 "${build_dir}/tools/bench_export" --experiment "${name}" --quick \
+      --out "${bench_dir}" >/dev/null
+  "${build_dir}/tools/bench_export" --check "${bench_dir}/BENCH_${name}.json"
+done
+for baseline in "${repo_root}"/BENCH_*.json; do
+  "${build_dir}/tools/bench_export" --check "${baseline}"
+done
 
 # Memory-check the dispatch hot path and the payload kernels: rebuild the
 # core, fault, coll, tensor and backends suites with -fsanitize=address and
